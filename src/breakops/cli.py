@@ -19,7 +19,6 @@ import sys
 
 from . import closedform, fsystem, operator, sweep, verify
 from .fsystem import NoSolutionError, UnsupportedRegimeError
-from .rational import parse_rational
 
 EXIT_OK = 0
 EXIT_BAD_PARAMS = 2
@@ -47,8 +46,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_classify(args) -> int:
-    lam, nu = parse_rational(args.lam), parse_rational(args.nu)
-    outcome = closedform.classify(lam, nu, args.big_n, args.m)
+    params = fsystem.SystemParams.of(args.lam, args.nu, args.big_n, args.m)
+    outcome = closedform.classify(params.lam, params.nu, params.N, params.m)
     if args.format == "text":
         status = "one-dimensional" if outcome.dimension else "zero"
         _write(
@@ -63,8 +62,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    lam, nu = parse_rational(args.lam), parse_rational(args.nu)
-    params = fsystem.SystemParams.of(lam, nu, args.big_n, args.m)
+    params = fsystem.SystemParams.of(args.lam, args.nu, args.big_n, args.m)
     via_duality = params.m < -params.N
     oriented = params.mirrored() if via_duality else params
     result = fsystem.solve_xi(oriented)
@@ -113,8 +111,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_operator(args) -> int:
-    lam, nu = parse_rational(args.lam), parse_rational(args.nu)
-    params = fsystem.SystemParams.of(lam, nu, args.big_n, args.m)
+    params = fsystem.SystemParams.of(args.lam, args.nu, args.big_n, args.m)
     forms = ["paper", "canonical"] if args.form == "both" else [args.form]
     try:
         emitted = {form: operator.emit_operator(params, form) for form in forms}
@@ -150,6 +147,8 @@ def cmd_operator(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     config = sweep.SweepConfig(
         n_values=tuple(range(args.max_n + 1)),
         m_offsets=tuple(range(1, args.m_span + 1)),
@@ -159,6 +158,8 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
     )
     document = sweep.sweep_document(config)
+    if not document["summary"]["checked"]:
+        raise ValueError("empty grid: --max-N, --m-span and --a-extra leave no point to check")
     _write(_dump(document), args.out)
     summary_line = json.dumps(document["summary"], sort_keys=True)
     print(summary_line, file=sys.stderr)
@@ -174,6 +175,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_ell < 0 or args.max_n < 0:
+        raise ValueError("--max-ell and --max-n must be natural numbers")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.quick:
         args.max_ell = min(args.max_ell, 8)

@@ -21,8 +21,11 @@ rule, so output is reproducible byte for byte.
 Unknown ordering is fixed as: blocks in ascending k, degrees descending
 inside each block.  Row ordering is fixed as: equations A^+ (j ascending),
 A^- (j ascending), B^+ (j = 1..N), B^- (j = 1..N); inside one equation the
-rows run over monomial degrees 0, 1, 2, ... of the expanded polynomial, with
-no parity-based pruning.
+rows run over monomial degrees 0..the highest degree with a nonzero entry,
+with no parity-based pruning.
+
+Each equation sends t^d to at most t^d, t^(d-1) and t^(d-2), so it is written
+once as per-degree weights (``equation_weights``), read by evaluation and assembly.
 
 The solver is only ever assembled for m > N; negative m is reached through
 the component-reversing duality at the symbol level.  Non-integer rational
@@ -35,9 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .gegenbauer import apply_imaginary_gegenbauer
-from .poly import EvenSpace, Poly, ZERO_POLY, differentiate, euler_apply, monomial
-from .rational import GaussianRational, is_integer, parse_rational
+from .gegenbauer import gegenbauer_weights
+from .poly import EvenSpace, Poly, ZERO_POLY, apply_weights
+from .rational import GaussianRational, is_integer, parse_rational, proportional_scalar
 
 
 class UnsupportedRegimeError(ValueError):
@@ -185,32 +188,37 @@ def hom_dimension(params: SystemParams) -> int:
     return sum(EvenSpace(a - k).dimension for k in support)
 
 
-def _lop(kind: str, sign: str, j: int, params: SystemParams, fget) -> Poly:
-    """One equation's left-hand side, with components supplied by fget(j)."""
+def _derivative(scale) -> tuple:
+    return ((-1, lambda d: scale * d),)  # scale * d/dt
+
+
+def equation_weights(kind: str, sign: str, j: int, params: SystemParams) -> list[tuple[int, tuple]]:
+    """One equation as (index jj, weights) terms, weights acting on f_jj.
+
+    The - equations are the + ones with s = -1 folded into the component
+    indices, the degree of S, the sign of m and the derivative couplings.
+    """
     lam, m, N = params.lam, params.m, params.N
     a = params.a
     if a is None:
         raise ValueError("the equations require nu - lambda to be a natural number")
+    s = 1 if sign == "+" else -1
     if kind == "A":
         if not 0 <= j <= N:
             raise ValueError(f"A-type index {j} out of range 0..{N}")
-        if sign == "+":
-            out = apply_imaginary_gegenbauer(a + m - j, lam + j - 1, fget(j))
-            return out - (2 * (N - j)) * differentiate(fget(j + 1))
-        out = apply_imaginary_gegenbauer(a - m - j, lam + j - 1, fget(-j))
-        return out + (2 * (N - j)) * differentiate(fget(-j - 1))
+        return [
+            (s * j, gegenbauer_weights(a + s * m - j, lam + j - 1, imaginary=True)),
+            (s * (j + 1), _derivative(-2 * s * (N - j))),
+        ]
     if kind == "B":
         if not 1 <= j <= N:
             raise ValueError(f"B-type index {j} out of range 1..{N}")
-        if sign == "+":
-            base = fget(j)
-            out = (-2 * m * (lam + a - 1) + 2 * j * (lam - 1)) * base + (2 * j) * euler_apply(base)
-            out = out + (N - j) * differentiate(fget(j + 1))
-            return out + (N + j) * differentiate(fget(j - 1))
-        base = fget(-j)
-        out = (2 * m * (lam + a - 1) + 2 * j * (lam - 1)) * base + (2 * j) * euler_apply(base)
-        out = out - (N + j) * differentiate(fget(-j + 1))
-        return out - (N - j) * differentiate(fget(-j - 1))
+        base = 2 * (j * (lam - 1) - s * m * (lam + a - 1))
+        return [
+            (s * j, ((0, lambda d: base + 2 * j * d),)),
+            (s * (j + 1), _derivative(s * (N - j))),
+            (s * (j - 1), _derivative(s * (N + j))),
+        ]
     raise ValueError(f"unknown equation kind {kind!r}")
 
 
@@ -218,7 +226,8 @@ def apply_L(kind: str, sign: str, j: int, params: SystemParams, sol: SolutionVec
     """Evaluate one of the 4N+2 equation operators on a solution vector."""
     if params.m <= params.N:
         raise UnsupportedRegimeError("equations are assembled in the m > N orientation only")
-    return _lop(kind, sign, j, params, sol.f)
+    terms = equation_weights(kind, sign, j, params)
+    return sum((apply_weights(weights, sol.f(jj)) for jj, weights in terms), ZERO_POLY)
 
 
 def equation_index(N: int) -> list[tuple[str, str, int]]:
@@ -270,28 +279,24 @@ def assemble_system(params: SystemParams) -> ExactMatrix:
 
     Columns follow unknown_columns(params); rows follow equation_index with
     one row per monomial degree 0..D of the expanded equation, D being the
-    largest degree any unknown can reach there.
+    highest degree holding a nonzero entry.  The entry at (row d+shift,
+    column (k, d)) is the weight(d) of the equation's term on f_(m-k).
     """
     if params.m <= params.N:
         raise UnsupportedRegimeError("direct assembly requires m > N")
-    if params.a is None:
-        raise ValueError("cannot assemble: nu - lambda is not a natural number")
-    columns = unknown_columns(params)
+    columns = unknown_columns(params)  # raises unless nu - lambda is a natural number
+    zero = Fraction(0)
     rows: list[tuple[Fraction, ...]] = []
     for kind, sign, j in equation_index(params.N):
-        images: list[Poly] = []
-        for k, degree in columns:
-            fget = lambda jj, k0=k, d0=degree: monomial(d0) if params.m - jj == k0 else ZERO_POLY
-            images.append(_lop(kind, sign, j, params, fget))
-        top = max((len(p.coeffs) for p in images), default=0)
-        for d in range(top):
-            row = []
-            for p in images:
-                c = p.coefficient(d)
-                if not c.is_real():
-                    raise ArithmeticError("equation coefficients must be real rationals")
-                row.append(c.re)
-            rows.append(tuple(row))
+        cells: dict[tuple[int, int], Fraction] = {}
+        terms = dict(equation_weights(kind, sign, j, params))
+        for col, (k, degree) in enumerate(columns):
+            for shift, weight in terms.get(params.m - k, ()):
+                if w := weight(degree):
+                    cells[degree + shift, col] = Fraction(w)
+        top = max((d for d, _ in cells), default=-1) + 1
+        # tuple of a list: tuples built from generators kept memory alive across sweeps
+        rows += [tuple([cells.get((d, col), zero) for col in range(len(columns))]) for d in range(top)]
     return ExactMatrix(tuple(rows), len(columns))
 
 
@@ -307,7 +312,7 @@ def nullspace(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
     for row in matrix.rows:
         if all(x == 0 for x in row):
             continue
-        scale = lcm(*(x.denominator for x in row))
+        scale = lcm(*[x.denominator for x in row])  # from a generator, peak RSS grew every sweep
         work.append([int(x * scale) for x in row])
 
     pivots: list[tuple[int, int]] = []  # (row, col) in echelon order
@@ -405,20 +410,5 @@ def decode_vector(params: SystemParams, vector) -> SolutionVector:
 
 def proportionality(reference: SolutionVector, other: SolutionVector) -> GaussianRational | None:
     """The scalar c with other = c * reference, when one exists."""
-    if reference.is_zero():
-        return None
-    scalar = None
-    for g_ref, g_other in zip(reference.entries, other.entries):
-        top = max(len(g_ref.coeffs), len(g_other.coeffs))
-        for d in range(top):
-            u, v = g_ref.coefficient(d), g_other.coefficient(d)
-            if not u:
-                if v:
-                    return None
-                continue
-            ratio = v / u
-            if scalar is None:
-                scalar = ratio
-            elif scalar != ratio:
-                return None
-    return scalar
+    maps = [{(i, d): c for i, g in enumerate(sol.entries) for d, c in enumerate(g.coeffs)} for sol in (reference, other)]
+    return proportional_scalar(*maps)

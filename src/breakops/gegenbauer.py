@@ -24,6 +24,8 @@ into the imaginary form
     S_l^mu f = -((1+t^2) f'' + (1+2mu) t f' - l(l+2mu) f)
 
 whose kernel in the even space is spanned by the substituted polynomial.
+Both are written once, as per-degree weights: t^d goes to (l-d)(l+d+2mu) t^d,
+which is l(l+2mu) - d(d-1) - (2mu+1)d, plus d(d-1) t^(d-2) for G, minus for S.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .rational import GaussianRational, i_power, pochhammer, sign_pow
-from .poly import Poly, ZERO_POLY, differentiate, euler_apply
+from .poly import Poly, ZERO_POLY, apply_weights
 
 
 class GegenParams(NamedTuple):
@@ -71,23 +73,21 @@ def gamma_factor(mu: Fraction | int, ell: int) -> Fraction:
     return Fraction(mu) + Fraction(ell, 2)
 
 
+def gegenbauer_weights(ell: int, mu: Fraction | int, imaginary: bool = False) -> tuple:
+    """(shift, weight) pairs of G, or of S when imaginary is set."""
+    two_mu = 2 * Fraction(mu)
+    sign = -1 if imaginary else 1
+    return ((0, lambda d: (ell - d) * (ell + d + two_mu)), (-2, lambda d: sign * d * (d - 1)))
+
+
 def apply_gegenbauer(ell: int, mu: Fraction | int, f: Poly) -> Poly:
     """(1-z^2) f'' - (2mu+1) z f' + l(l+2mu) f."""
-    mu = Fraction(mu)
-    ddf = differentiate(differentiate(f))
-    # z^2 f'' = (theta^2 - theta) f with theta the Euler operator.
-    out = ddf - (euler_apply(euler_apply(f)) - euler_apply(f))
-    out = out - (2 * mu + 1) * euler_apply(f)
-    return out + (ell * (ell + 2 * mu)) * f
+    return apply_weights(gegenbauer_weights(ell, mu), f)
 
 
 def apply_imaginary_gegenbauer(ell: int, mu: Fraction | int, f: Poly) -> Poly:
     """-((1+t^2) f'' + (1+2mu) t f' - l(l+2mu) f)."""
-    mu = Fraction(mu)
-    ddf = differentiate(differentiate(f))
-    t2ddf = euler_apply(euler_apply(f)) - euler_apply(f)
-    inner = ddf + t2ddf + (2 * mu + 1) * euler_apply(f) - (ell * (ell + 2 * mu)) * f
-    return -inner
+    return apply_weights(gegenbauer_weights(ell, mu, imaginary=True), f)
 
 
 def vanishing_set(ell: int, k: int) -> frozenset[Fraction]:

@@ -31,7 +31,7 @@ from .closedform import classify, const_a, const_b, dual_solution
 from .fsystem import NoSolutionError, SolutionVector, SystemParams, UnsupportedRegimeError, solve_xi
 from .gegenbauer import gegenbauer
 from .poly import MultiPoly, VectorSymbol, inflate
-from .rational import GaussianRational, binomial, i_power, is_integer, sign_pow
+from .rational import GaussianRational, binomial, i_power, is_integer, proportional_scalar, sign_pow
 
 TermKey = tuple[int, int, int, int]  # (component d, dz power, dzbar power, dx3 power)
 
@@ -272,10 +272,4 @@ def _literal_term(const: Fraction, d: int, block_lam: Fraction, block_nu: Fracti
 
 def compare_up_to_scalar(first: DiffOperator, second: DiffOperator) -> GaussianRational | None:
     """The unique scalar c with second = c * first, None when there is none."""
-    if first.is_zero():
-        return None
-    key, value = first.sorted_terms()[0]
-    scalar = second.terms.get(key, GaussianRational()) / value
-    if second == first.scaled(scalar):
-        return scalar
-    return None
+    return proportional_scalar(first.terms, second.terms)

@@ -137,6 +137,22 @@ def euler_apply(f: Poly) -> Poly:
     return Poly([f.coeffs[d] * d for d in range(len(f.coeffs))])
 
 
+def apply_weights(weights, f: Poly) -> Poly:
+    """The operator sending t^d to the sum of weight(d) t^(d+shift) over (shift <= 0, weight) pairs.
+
+    Every second-order operator of the package is written down once this way.
+    """
+    re, im = [0] * len(f.coeffs), [0] * len(f.coeffs)
+    for d, c in enumerate(f.coeffs):
+        if not c:
+            continue
+        for shift, weight in weights:
+            if (w := weight(d)) and d + shift >= 0:
+                re[d + shift] += c.re * w
+                im[d + shift] += c.im * w
+    return Poly(map(GaussianRational, re, im))
+
+
 def even_basis(b: int) -> list[Poly]:
     """Monomial basis t^(b-2j), j = 0..floor(b/2), of the even-parity space."""
     if b < 0:

@@ -203,3 +203,12 @@ _I_CYCLE = (
 def i_power(k: int) -> GaussianRational:
     """i**k for any integer k."""
     return _I_CYCLE[k % 4]
+
+
+def proportional_scalar(reference: dict, other: dict) -> GaussianRational | None:
+    """The c with other = c * reference on maps to Gaussian rationals; None if none or reference is 0."""
+    support = [key for key, u in reference.items() if u]
+    if not support or any(v and not reference.get(key) for key, v in other.items()):
+        return None
+    scalar = other.get(support[0], GR_ZERO) / reference[support[0]]
+    return scalar if all(other.get(key, GR_ZERO) == scalar * reference[key] for key in support) else None

@@ -18,6 +18,7 @@ are byte-identical across parallelism degrees.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,13 +132,6 @@ def build_tasks(config: SweepConfig) -> list[SweepTask]:
     return tasks
 
 
-def _check_annihilated(params: fsystem.SystemParams, sol: fsystem.SolutionVector) -> bool:
-    return all(
-        fsystem.apply_L(kind, sign, j, params, sol).is_zero()
-        for kind, sign, j in fsystem.equation_index(params.N)
-    )
-
-
 def evaluate_task(task: SweepTask) -> list[Certificate]:
     """Certify the positive point and, when asked, its mirror image."""
     params = fsystem.SystemParams(task.lam, task.lam + task.a, task.N, task.m)
@@ -167,7 +161,9 @@ def evaluate_task(task: SweepTask) -> list[Certificate]:
             cert.generator_proportionality = scalar
             if scalar is None or not scalar:
                 cert.failures.append("closed form is not a nonzero multiple of the nullspace generator")
-            cert.annihilated = _check_annihilated(params, closed)
+            cert.annihilated = all(
+                fsystem.apply_L(*eq, params, closed).is_zero() for eq in fsystem.equation_index(params.N)
+            )
             if not cert.annihilated:
                 cert.failures.append("closed form is not annihilated by all equations")
         psi = operator.symbol_psi(params, result.generator)
@@ -216,8 +212,9 @@ def run_sweep(config: SweepConfig) -> tuple[list[Certificate], dict]:
     """Evaluate the whole grid and return certificates plus a summary."""
     tasks = build_tasks(config)
     certificates: list[Certificate] = []
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for batch in pool.map(evaluate_task, tasks, chunksize=8):
                 certificates.extend(batch)
     else:

@@ -33,7 +33,7 @@ from .poly import (
     inflate,
     monomial,
 )
-from .rational import GaussianRational, binomial, floor_frac, gamma_ratio, pochhammer, sign_pow
+from .rational import GaussianRational, binomial, floor_frac, gamma_ratio, pochhammer, proportional_scalar, sign_pow
 
 
 @dataclass
@@ -178,18 +178,12 @@ def gegenbauer_suite(max_ell: int = 12, mu_values=None, max_d: int = 4) -> list[
     def unique_kernel(ell, mu):
         basis = even_basis(ell)
         images = [apply_gegenbauer(ell, mu, f) for f in basis]
-        top = max((len(p.coeffs) for p in images), default=0)
-        rows = []
-        for deg in range(top):
-            row = tuple(p.coefficient(deg).re for p in images)
-            rows.append(row)
-        kernel = fsystem.nullspace(fsystem.ExactMatrix(tuple(rows), len(basis)))
+        rows = tuple(tuple(p.coefficient(deg).re for p in images) for deg in range(ell + 1))
+        kernel = fsystem.nullspace(fsystem.ExactMatrix(rows, len(basis)))
         if len(kernel) != 1:
             return False
-        combo = Poly()
-        for coeff, f in zip(kernel[0], basis):
-            combo = combo + coeff * f
-        return _poly_proportional(combo, gegenbauer(ell, mu))
+        line = {f.degree: c for f, c in zip(basis, kernel[0])}
+        return bool(proportional_scalar(line, dict(enumerate(gegenbauer(ell, mu).coeffs))))
 
     tally.run(
         "even kernel is the single line",
@@ -456,16 +450,6 @@ def operator_suite(seed: int = 20240802) -> list[CheckResult]:
 
     tally.run("rank-three reduction to the general emission", legacy_reduction())
     return tally.results
-
-
-def _poly_proportional(first: Poly, second: Poly) -> bool:
-    """True when the two polynomials span the same line (both may be zero)."""
-    if first.is_zero() or second.is_zero():
-        return first.is_zero() and second.is_zero()
-    if first.degree != second.degree:
-        return False
-    scalar = second.coeffs[-1] / first.coeffs[-1]
-    return second == first * scalar
 
 
 def _compose(left: operator.DiffOperator, right: operator.DiffOperator) -> operator.DiffOperator:

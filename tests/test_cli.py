@@ -54,6 +54,14 @@ def test_classify_unsupported_regime_exits_2(capsys):
     assert "unsupported" in err
 
 
+def test_classify_validates_params_like_solve(capsys):
+    flags = ("--lambda", "0", "--nu", "0", "-N", "-1", "-m", "0")
+    for command in ("classify", "solve"):
+        code, out, err = run_cli(capsys, command, *flags)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "N must be a natural number"}
+
+
 def test_classify_bad_rational_exits_2(capsys):
     code, _, _ = run_cli(capsys, "classify", "--lambda=zzz", "--nu", "2", "-N", "1", "-m", "2")
     assert code == 2
@@ -159,13 +167,62 @@ def test_sweep_jobs_byte_identical(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_sweep_empty_grid_exits_0(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--max-N", "-1"),
+        ("--m-span", "0"),
+        ("--m-span", "-2"),
+        ("--max-N", "0", "--a-extra", "-1"),
+        ("--jobs", "0"),
+        ("--jobs", "-3"),
+    ],
+)
+def test_sweep_empty_grid_or_bad_jobs_exits_2(tmp_path, capsys, flags):
     out_file = tmp_path / "empty.json"
-    code, _, _ = run_cli(
-        capsys, "sweep", "--max-N", "0", "--m-span", "0", "--out", str(out_file)
-    )
-    assert code == 0
-    assert json.loads(out_file.read_text())["summary"]["checked"] == 0
+    code, _, err = run_cli(capsys, "sweep", *flags, "--out", str(out_file))
+    assert code == 2
+    assert "error" in json.loads(err)
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("flags", [("--max-ell", "-3"), ("--max-n", "-1")])
+def test_verify_empty_grid_exits_2(capsys, flags):
+    code, out, err = run_cli(capsys, "verify", "--suite", "gegenbauer", *flags)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_sweep_jobs_clamped_without_starting_processes(tmp_path, capsys, monkeypatch):
+    from breakops import sweep
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+    base = ["sweep", "--max-N", "0", "--m-span", "1", "--a-extra", "0"]
+    tasks = len(sweep.build_tasks(sweep.SweepConfig(n_values=(0,), m_offsets=(1,), a_extra=0)))
+    assert main(base + ["--jobs", "1000000", "--out", str(tmp_path / "many.json")]) == 0
+    assert seen == [min(3, tasks)]
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    assert main(base + ["--jobs", "1000000", "--out", str(tmp_path / "one.json")]) == 0
+    assert seen == [min(3, tasks)]  # one CPU: no pool at all
+    capsys.readouterr()
+    assert (tmp_path / "many.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
 
 def test_verify_gegenbauer_quick(capsys):

@@ -13,6 +13,7 @@ from breakops.rational import (
     i_power,
     parse_rational,
     pochhammer,
+    proportional_scalar,
 )
 
 
@@ -104,3 +105,15 @@ def test_i_power_cycle():
     assert i_power(2) == GaussianRational(F(-1))
     assert i_power(-1) == GaussianRational(F(0), F(-1))
     assert i_power(4) * i_power(-4) == GaussianRational(F(1))
+
+
+def test_proportional_scalar_on_coefficient_maps():
+    G = GaussianRational
+    reference = {"x": G(F(2)), "y": G(F(-1)), "z": G()}
+    assert proportional_scalar(reference, {"x": G(F(1)), "y": G(F(-1, 2))}) == G(F(1, 2))
+    assert proportional_scalar(reference, {"x": G(F(0), F(1)), "y": G(F(0), F(-1, 2))}) == G(F(0), F(1, 2))
+    assert proportional_scalar(reference, {"x": G(), "z": G()}) == G()
+    assert proportional_scalar(reference, {"x": G(F(2)), "y": G(F(-1)), "w": G(F(1))}) is None  # key outside
+    assert proportional_scalar(reference, {"x": G(F(1)), "y": G(F(1))}) is None
+    assert proportional_scalar({"z": G()}, {"x": G(F(1))}) is None  # zero reference
+    assert proportional_scalar({"x": F(2)}, {"x": G(F(0), F(1))}) == G(F(0), F(1, 2))  # rational reference
