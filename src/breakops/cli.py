@@ -259,6 +259,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_BAD_PARAMS
+    except ArithmeticError as exc:  # PoleError included: an internal cross-check failed
+        print(json.dumps({"error": f"internal check failed: {exc}"}), file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return code
 
 

@@ -55,7 +55,6 @@ from .fsystem import (
 from .gegenbauer import gegenbauer_it
 from .poly import Poly, VectorSymbol
 from .rational import (
-    GaussianRational,
     binomial,
     floor_frac,
     gamma_ratio,
@@ -263,9 +262,9 @@ class ConsistencyPolynomials(NamedTuple):
 
 def _poch_poly(shift: Fraction | int, r: int) -> ParamPoly:
     """(lambda + shift)_r as a polynomial in lambda."""
-    out = Poly([GaussianRational(Fraction(1))])
+    out = Poly([1])
     for i in range(r):
-        out = out * Poly([GaussianRational(Fraction(shift) + i), GaussianRational(Fraction(1))])
+        out = out * Poly([shift + i, 1])
     return out
 
 
@@ -293,15 +292,15 @@ def consistency_polynomials(N: int, a: int, m: int) -> ConsistencyPolynomials:
     beta_minus = _alpha_beta(N, a, -m, 1)
 
     def linear(c: int) -> Poly:
-        return Poly([GaussianRational(Fraction(c)), GaussianRational(Fraction(1))])
+        return Poly([c, 1])
 
-    p = linear(floor_frac(Fraction(a + m - 1, 2))) * Fraction(floor_frac(Fraction(a + m, 2)))
+    p = linear(floor_frac(Fraction(a + m - 1, 2))) * floor_frac(Fraction(a + m, 2))
     p = p * alpha_plus * beta_minus
-    p2 = linear(floor_frac(Fraction(a - m - 1, 2))) * Fraction(floor_frac(Fraction(a - m, 2)))
+    p2 = linear(floor_frac(Fraction(a - m - 1, 2))) * floor_frac(Fraction(a - m, 2))
     p2 = p2 * alpha_minus * beta_plus
     p = p - p2
 
-    q = Poly([GaussianRational(pochhammer(m, N + 1) * pochhammer(1 - m, N))])
+    q = Poly([pochhammer(m, N + 1) * pochhammer(1 - m, N)])
     for idx in range(2 * N + 1):
         q = q * linear(a - N - 1 + idx)
     return ConsistencyPolynomials(p, q, alpha_plus, alpha_minus, beta_plus, beta_minus)

@@ -400,8 +400,7 @@ def decode_vector(params: SystemParams, vector) -> SolutionVector:
     a = params.a
     blocks: dict[int, list] = {}
     for (k, degree), value in zip(columns, vector):
-        coeffs = blocks.setdefault(k, [GaussianRational()] * (a - k + 1))
-        coeffs[degree] = coeffs[degree] + GaussianRational(Fraction(value))
+        blocks.setdefault(k, [0] * (a - k + 1))[degree] += value
     entries = []
     for k in range(params.m - params.N, params.m + params.N + 1):
         entries.append(Poly(blocks[k]) if k in blocks else ZERO_POLY)

@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .rational import GaussianRational, i_power, pochhammer, sign_pow
+from .rational import i_power, pochhammer, sign_pow
 from .poly import Poly, ZERO_POLY, apply_weights
 
 
@@ -51,12 +51,12 @@ def gegenbauer(ell: int, mu: Fraction | int) -> Poly:
         return ZERO_POLY
     mu = Fraction(mu)
     half_up = (ell + 1) // 2
-    coeffs = [GaussianRational()] * (ell + 1)
+    coeffs = [0] * (ell + 1)
     for k in range(ell // 2 + 1):
         ratio = pochhammer(mu + half_up, ell - k - half_up)
         value = ratio * sign_pow(k) * Fraction(2) ** (ell - 2 * k)
         value /= math.factorial(k) * math.factorial(ell - 2 * k)
-        coeffs[ell - 2 * k] = GaussianRational(value)
+        coeffs[ell - 2 * k] = value
     return Poly(coeffs)
 
 

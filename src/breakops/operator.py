@@ -30,46 +30,16 @@ from fractions import Fraction
 from .closedform import classify, const_a, const_b, dual_solution
 from .fsystem import NoSolutionError, SolutionVector, SystemParams, UnsupportedRegimeError, solve_xi
 from .gegenbauer import gegenbauer
-from .poly import MultiPoly, VectorSymbol, inflate
-from .rational import GaussianRational, binomial, i_power, is_integer, proportional_scalar, sign_pow
+from .poly import MultiPoly, TermMap, VectorSymbol, inflate
+from .rational import GR_ZERO, GaussianRational, binomial, i_power, is_integer, proportional_scalar, sign_pow
 
 TermKey = tuple[int, int, int, int]  # (component d, dz power, dzbar power, dx3 power)
 
 
-class DiffOperator:
+class DiffOperator(TermMap):
     """Finite sum of c * dz^p dzbar^q dx3^r tensored with a basis covector."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        cleaned: dict[TermKey, GaussianRational] = {}
-        if terms:
-            for key, value in terms.items():
-                value = value if isinstance(value, GaussianRational) else GaussianRational(Fraction(value))
-                if value:
-                    cleaned[tuple(key)] = value
-        self.terms = cleaned
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiffOperator) and self.terms == other.terms
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            new = out.get(key, GaussianRational()) + value
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return DiffOperator(out)
-
-    def scaled(self, scalar) -> "DiffOperator":
-        if not isinstance(scalar, GaussianRational):
-            scalar = GaussianRational(Fraction(scalar))
-        return DiffOperator({k: v * scalar for k, v in self.terms.items()})
+    __slots__ = ()
 
     def sorted_terms(self) -> list[tuple[TermKey, GaussianRational]]:
         return sorted(self.terms.items())
@@ -128,7 +98,7 @@ def juhl_operator(lam: Fraction | int, nu: Fraction | int) -> DiffOperator:
     """
     lam, nu = Fraction(lam), Fraction(nu)
     blocks = _juhl_blocks(lam, nu)
-    return DiffOperator({(0, p, q, r): GaussianRational(c) for (p, q, r), c in blocks.items()})
+    return DiffOperator({(0, p, q, r): c for (p, q, r), c in blocks.items()})
 
 
 def circle_power(k: int, conjugate: bool = False) -> MultiPoly:
@@ -177,17 +147,9 @@ def symbol_to_operator(psi: VectorSymbol) -> DiffOperator:
             base = coeff * i_power(-e2)
             for i in range(e1 + 1):
                 for j in range(e2 + 1):
-                    alpha = i + j
-                    beta = (e1 - i) + (e2 - j)
-                    value = base * binomial(e1, i) * binomial(e2, j)
-                    if (e2 - j) % 2:
-                        value = -value
-                    key = (d, beta, alpha, e3)
-                    current = terms.get(key, GaussianRational()) + value
-                    if current:
-                        terms[key] = current
-                    else:
-                        terms.pop(key, None)
+                    key = (d, (e1 - i) + (e2 - j), i + j, e3)
+                    value = base * (sign_pow(e2 - j) * binomial(e1, i) * binomial(e2, j))
+                    terms[key] = terms.get(key, GR_ZERO) + value
     return DiffOperator(terms)
 
 
@@ -266,7 +228,7 @@ def _literal_term(const: Fraction, d: int, block_lam: Fraction, block_nu: Fracti
         raise ArithmeticError("negative derivative power with a nonzero constant")
     blocks = _juhl_blocks(block_lam, block_nu)
     return DiffOperator(
-        {(d, p + dz, q + dzbar, r): GaussianRational(const * c) for (p, q, r), c in blocks.items()}
+        {(d, p + dz, q + dzbar, r): const * c for (p, q, r), c in blocks.items()}
     )
 
 

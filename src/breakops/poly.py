@@ -16,19 +16,10 @@ polynomial there, so non-even input is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .rational import GR_ONE, GR_ZERO, GaussianRational, binomial
+from .rational import GR_ONE, GR_ZERO, SCALARS, GaussianRational, binomial
 
 NEG_INFINITY = float("-inf")
-
-
-def _coerce_scalar(value) -> GaussianRational | None:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
-    return None
 
 
 class Poly:
@@ -37,7 +28,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [c if isinstance(c, GaussianRational) else GaussianRational(Fraction(c)) for c in coeffs]
+        coeffs = list(map(GaussianRational.of, coeffs))
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -88,16 +79,11 @@ class Poly:
                     if b:
                         out[i + j] = out[i + j] + a * b
             return Poly(out)
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return Poly([c * scalar for c in self.coeffs])
+        if isinstance(other, SCALARS):
+            return Poly([c * other for c in self.coeffs])
+        return NotImplemented
 
-    def __rmul__(self, other):
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return Poly([scalar * c for c in self.coeffs])
+    __rmul__ = __mul__
 
     def is_real(self) -> bool:
         return all(c.is_real() for c in self.coeffs)
@@ -123,8 +109,7 @@ ONE_POLY = Poly([GR_ONE])
 
 
 def monomial(degree: int, coeff=1) -> Poly:
-    scalar = _coerce_scalar(coeff)
-    return Poly([GR_ZERO] * degree + [scalar])
+    return Poly([GR_ZERO] * degree + [coeff])
 
 
 def differentiate(f: Poly) -> Poly:
@@ -182,51 +167,59 @@ class EvenSpace:
         return even_basis(self.bound)
 
 
-class MultiPoly:
-    """Sparse polynomial in (zeta1, zeta2, zeta3) over GaussianRational."""
+class TermMap:
+    """Sparse map from monomial keys to nonzero GaussianRational coefficients.
+
+    The shared base of ``MultiPoly`` and ``DiffOperator``: construction
+    coerces every coefficient and drops the zero ones, so two maps with the
+    same terms are equal.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for key, value in terms.items():
-                value = value if isinstance(value, GaussianRational) else GaussianRational(Fraction(value))
-                if value:
-                    cleaned[tuple(key)] = value
-        self.terms = cleaned
-
-    @classmethod
-    def term(cls, e1: int, e2: int, e3: int, coeff=1) -> "MultiPoly":
-        return cls({(e1, e2, e3): _coerce_scalar(coeff)})
+        of = GaussianRational.of
+        self.terms = {tuple(key): c for key, value in (terms or {}).items() if (c := of(value))}
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
         for key, value in other.terms.items():
             out[key] = out.get(key, GR_ZERO) + value
-        return MultiPoly(out)
+        return type(self)(out)
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            out[key] = out.get(key, GR_ZERO) - value
-        return MultiPoly(out)
+        return self + -other
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly({k: -v for k, v in self.terms.items()})
+    def scaled(self, scalar):
+        """Every coefficient times the scalar; TypeError when it is not an exact scalar."""
+        scalar = GaussianRational.of(scalar)
+        return type(self)({k: v * scalar for k, v in self.terms.items()})
+
+
+class MultiPoly(TermMap):
+    """Sparse polynomial in (zeta1, zeta2, zeta3) over GaussianRational."""
+
+    __slots__ = ()
+
+    @classmethod
+    def term(cls, e1: int, e2: int, e3: int, coeff=1) -> "MultiPoly":
+        return cls({(e1, e2, e3): coeff})
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
@@ -236,10 +229,9 @@ class MultiPoly:
                     key = (a1 + b1, a2 + b2, a3 + b3)
                     out[key] = out.get(key, GR_ZERO) + u * v
             return MultiPoly(out)
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return MultiPoly({k: v * scalar for k, v in self.terms.items()})
+        if isinstance(other, SCALARS):
+            return self.scaled(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -3,7 +3,12 @@
 Every number in this package lives in Q or Q(i); there are no floats
 anywhere.  Plain rationals are ``fractions.Fraction`` values, which are
 always reduced and keep a positive denominator, so they already satisfy the
-canonical-form invariants we need.  Gamma functions are never evaluated on
+canonical-form invariants we need.  Numbers in Q(i) are ``GaussianRational``
+values with two Fraction parts.  ``GaussianRational.of`` is the one place a
+scalar is coerced: a GaussianRational stays itself, an int or a Fraction
+becomes a real one, and anything else (a float, a string) is a TypeError.
+Equality is numeric, so a real GaussianRational equals, and hashes like, the
+int or Fraction of the same value.  Gamma functions are never evaluated on
 their own: every gamma quotient in the constants downstream has an integer
 offset between its arguments, and such a quotient is computed through the
 rising factorial.  That evaluation reproduces the finite limit value of
@@ -15,7 +20,6 @@ integer arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -52,13 +56,11 @@ def gamma_ratio(x: Fraction | int, p: int) -> Fraction:
     return 1 / denominator
 
 
-def binomial(n: int, k: int) -> Fraction:
+def binomial(n: int, k: int) -> int:
     """Binomial coefficient; 0 when k > n."""
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be natural numbers")
-    if k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
+    return math.comb(n, k)
 
 
 def floor_frac(x: Fraction | int) -> int:
@@ -87,28 +89,52 @@ def format_rational(x: Fraction | int) -> str:
     return str(Fraction(x))
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number a+bi with rational a, b.
+_REALS = (int, Fraction)
 
-    Equality is componentwise, arithmetic is exact, and division by zero is
-    an error rather than a sentinel value.
+
+class GaussianRational:
+    """Exact complex number a+bi with rational parts a, b.
+
+    Both parts are always ``Fraction`` values: the constructor converts a part
+    only when it is not one already, and it accepts ints and Fractions alone,
+    so a float or a string never becomes a part.  ``GaussianRational.of`` is
+    the one coercion of a scalar.  Equality is numeric: a real Gaussian
+    rational equals the int or Fraction of the same value and hashes like it.
+    Instances are immutable, arithmetic is exact, and division by zero is an
+    error rather than a sentinel value.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re=Fraction(0), im=Fraction(0)):
+        _set_re(self, re if type(re) is Fraction else _exact_part(re))
+        _set_im(self, im if type(im) is Fraction else _exact_part(im))
 
     @staticmethod
-    def _coerce(value) -> "GaussianRational | None":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value))
-        return None
+    def of(value) -> "GaussianRational":
+        """The scalar as a GaussianRational: itself, or an int or Fraction as a real; TypeError otherwise."""
+        return value if isinstance(value, GaussianRational) else GaussianRational(value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"GaussianRational is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, _REALS):
+            return not self.im and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -117,10 +143,11 @@ class GaussianRational:
         return self.im == 0
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, _REALS):
+            return GaussianRational(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -128,31 +155,33 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, _REALS):
+            return GaussianRational(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        if isinstance(other, _REALS):
+            return GaussianRational(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if isinstance(other, GaussianRational):
+            return GaussianRational(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if isinstance(other, _REALS):
+            return GaussianRational(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, _REALS):
+            return GaussianRational(self.re / other, self.im / other)
+        if not isinstance(other, GaussianRational):
             return NotImplemented
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
@@ -163,10 +192,9 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        if isinstance(other, _REALS):
+            return GaussianRational(other) / self
+        return NotImplemented
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -188,16 +216,23 @@ class GaussianRational:
         return cls(parse_rational(doc["re"]), parse_rational(doc["im"]))
 
 
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
+# The constructor writes the parts through the slot descriptors, past the refusing __setattr__.
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+SCALARS = (GaussianRational, *_REALS)  # what GaussianRational.of accepts
 
-_I_CYCLE = (
-    GR_ONE,
-    I_UNIT,
-    GaussianRational(Fraction(-1)),
-    GaussianRational(Fraction(0), Fraction(-1)),
-)
+
+def _exact_part(part) -> Fraction:
+    if isinstance(part, _REALS):
+        return Fraction(part)
+    raise TypeError(f"a Gaussian rational part is an int or a Fraction, not {type(part).__name__}: {part!r}")
+
+
+GR_ZERO = GaussianRational()
+GR_ONE = GaussianRational(1)
+I_UNIT = GaussianRational(0, 1)
+
+_I_CYCLE = (GR_ONE, I_UNIT, GaussianRational(-1), GaussianRational(0, -1))
 
 
 def i_power(k: int) -> GaussianRational:

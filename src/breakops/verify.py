@@ -33,7 +33,7 @@ from .poly import (
     inflate,
     monomial,
 )
-from .rational import GaussianRational, binomial, floor_frac, gamma_ratio, pochhammer, proportional_scalar, sign_pow
+from .rational import GR_ZERO, GaussianRational, binomial, floor_frac, gamma_ratio, pochhammer, proportional_scalar, sign_pow
 
 
 @dataclass
@@ -84,7 +84,7 @@ def gegenbauer_suite(max_ell: int = 12, mu_values=None, max_d: int = 4) -> list[
             for ell, mu in pairs
         ),
     )
-    two_i = GaussianRational(Fraction(0), Fraction(2))
+    two_i = GaussianRational(0, 2)
     tally.run(
         "derivative lowers degree with gamma weight",
         (
@@ -326,9 +326,9 @@ def system_suite(seed: int = 20240801) -> list[CheckResult]:
     tally.run("gamma quotient inverse", (ratio_inverse(x, p) for x in xs for p in span))
 
     def random_even(b):
-        coeffs = [GaussianRational() for _ in range(b + 1)]
+        coeffs = [0] * (b + 1)
         for d in range(b % 2, b + 1, 2):
-            coeffs[d] = GaussianRational(F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
+            coeffs[d] = GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
         return Poly(coeffs)
 
     def inflate_checks(b):
@@ -350,7 +350,7 @@ def system_suite(seed: int = 20240801) -> list[CheckResult]:
         terms = {}
         for _ in range(rng.randint(1, 5)):
             key = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
-            terms[key] = GaussianRational(F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
+            terms[key] = GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5))
         return MultiPoly(terms)
 
     def multi_algebra(_):
@@ -395,7 +395,7 @@ def operator_suite(seed: int = 20240802) -> list[CheckResult]:
             terms = {}
             for _ in range(rng.randint(0, 4)):
                 key = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2))
-                terms[key] = GaussianRational(F(rng.randint(-7, 7)), F(rng.randint(-7, 7)))
+                terms[key] = GaussianRational(rng.randint(-7, 7), rng.randint(-7, 7))
             comps.append(MultiPoly(terms))
         return VectorSymbol(tuple(comps))
 
@@ -460,7 +460,7 @@ def _compose(left: operator.DiffOperator, right: operator.DiffOperator) -> opera
             if d1 or d2:
                 raise ValueError("composition is defined for scalar blocks only")
             key = (0, p1 + p2, q1 + q2, r1 + r2)
-            out[key] = out.get(key, GaussianRational()) + u * v
+            out[key] = out.get(key, GR_ZERO) + u * v
     return operator.DiffOperator(out)
 
 

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, wire formats, schema validity, determinism."""
 
+import importlib
 import json
 from importlib import resources as importlib_resources
 
@@ -8,6 +9,7 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 from breakops.cli import main
+from breakops.rational import PoleError
 
 
 def run_cli(capsys, *argv):
@@ -266,3 +268,27 @@ def test_operator_canonical_form_negative_m(capsys, validators):
     assert doc["canonical"] == [
         {"d": 0, "p": 3, "q": 0, "r": 0, "coeff": {"re": "8", "im": "0"}}
     ]
+
+
+POINT = ("--lambda=-1", "--nu", "2", "-N", "1", "-m", "2")
+
+
+@pytest.mark.parametrize(
+    "module, stage, error, argv",
+    [
+        ("fsystem", "nullspace", ArithmeticError, ("solve", *POINT)),
+        ("operator", "const_a", PoleError, ("operator", *POINT, "--form", "paper")),
+        ("operator", "symbol_to_operator", ArithmeticError, ("operator", *POINT, "--form", "canonical")),
+        ("fsystem", "nullspace", PoleError, ("sweep", "--max-N", "0", "--m-span", "1", "--a-extra", "0")),
+    ],
+)
+def test_internal_check_errors_exit_4(tmp_path, capsys, monkeypatch, module, stage, error, argv):
+    def fail(*args, **kwargs):
+        raise error("cross-check failed")
+
+    monkeypatch.setattr(importlib.import_module(f"breakops.{module}"), stage, fail)
+    out_file = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 4
+    assert out == "" and not out_file.exists()
+    assert "cross-check failed" in json.loads(err)["error"]

@@ -1,5 +1,6 @@
 """Univariate polynomials, even-parity spaces, inflation, and symbols."""
 
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from breakops.poly import (
     inflate,
     monomial,
 )
+from breakops.operator import DiffOperator
 from breakops.rational import GaussianRational
 
 
@@ -146,3 +148,46 @@ def test_serialization_sorted():
     doc = p.to_json()
     assert doc[0]["e1"] == 0 and doc[1]["e1"] == 1
     assert Poly([F(1, 2)]).to_json() == [{"re": "1/2", "im": "0"}]
+
+
+def _term_maps():
+    return [
+        MultiPoly({(1, 0, 2): GaussianRational(F(1, 2), F(-3)), (0, 0, 0): 4}),
+        DiffOperator({(0, 1, 0, 0): F(-7, 3), (2, 0, 1, 3): GaussianRational(0, 1)}),
+    ]
+
+
+@pytest.mark.parametrize("value", [Poly([F(1, 2), GaussianRational(0, 1), 3])] + _term_maps())
+def test_pickle_round_trip(value):
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_inexact_coefficients_are_rejected(bad):
+    with pytest.raises(TypeError):
+        Poly([1, bad])
+    with pytest.raises(TypeError):
+        monomial(2, bad)
+    with pytest.raises(TypeError):
+        MultiPoly({(0, 1, 0): bad})
+    with pytest.raises(TypeError):
+        MultiPoly.term(0, 1, 0, bad)
+    with pytest.raises(TypeError):
+        DiffOperator({(0, 0, 0, 0): bad})
+    with pytest.raises(TypeError):
+        DiffOperator({(0, 0, 0, 0): 1}).scaled(bad)
+    with pytest.raises(TypeError):
+        Poly([1]) * bad
+    with pytest.raises(TypeError):
+        MultiPoly.term(1, 0, 0) * bad
+
+
+@pytest.mark.parametrize("u", _term_maps())
+def test_term_maps_drop_zeros_and_share_the_algebra(u):
+    kind = type(u)
+    assert kind({key: 0 for key in u.terms}).is_zero()
+    assert (u - u).is_zero() and (u - u) == kind()
+    assert u + (-u) == kind() and -(-u) == u
+    assert u.scaled(3) == u + u + u and u.scaled(F(1, 2)).scaled(2) == u
+    assert u.scaled(GaussianRational(0, 1)).scaled(GaussianRational(0, 1)) == -u
+    assert hash(u.scaled(2)) == hash(u + u)

@@ -1,0 +1,89 @@
+"""Property tests: GaussianRational against a pair-of-Fractions model, and the
+existence predicate against the nullspace over random parameter points.
+
+Opt-in: the module is skipped when hypothesis is not installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from breakops.closedform import classify  # noqa: E402
+from breakops.fsystem import SystemParams, solve_xi  # noqa: E402
+from breakops.rational import GaussianRational  # noqa: E402
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+reals = st.one_of(st.integers(-50, 50), fractions)
+pairs = st.tuples(fractions, fractions)
+
+
+def model_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def model_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def parts(g):
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    return (g.re, g.im)
+
+
+@given(pairs, pairs)
+def test_gaussian_arithmetic_matches_pair_model(x, y):
+    u, v = GaussianRational(*x), GaussianRational(*y)
+    assert parts(u + v) == (x[0] + y[0], x[1] + y[1])
+    assert parts(u - v) == (x[0] - y[0], x[1] - y[1])
+    assert parts(-u) == (-x[0], -x[1])
+    assert parts(u.conjugate()) == (x[0], -x[1])
+    assert parts(u * v) == model_mul(x, y)
+    if y != (0, 0):
+        assert parts(u / v) == model_div(x, y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            u / v
+    assert (u == v) == (x == y)
+    assert bool(u) == (x != (0, 0))
+    if x == y:
+        assert hash(u) == hash(v)
+
+
+@given(pairs, reals)
+def test_gaussian_mixed_with_reals_matches_pair_model(x, r):
+    u = GaussianRational(*x)
+    assert parts(u + r) == parts(r + u) == (x[0] + r, x[1])
+    assert parts(u - r) == (x[0] - r, x[1])
+    assert parts(r - u) == (r - x[0], -x[1])
+    assert parts(u * r) == parts(r * u) == (x[0] * r, x[1] * r)
+    if r:
+        assert parts(u / r) == (x[0] / r, x[1] / r)
+    if x != (0, 0):
+        assert parts(r / u) == model_div((Fraction(r), Fraction(0)), x)
+    assert (u == r) == (x == (r, 0)) == (r == u)
+    assert (GaussianRational(r) == r) and hash(GaussianRational(r)) == hash(r)
+
+
+@st.composite
+def points(draw):
+    """(lambda, a, N, m): lambda rational, or an integer at or next to the admissible set.
+
+    The predicate holds for integer lambda <= 1 - m with 1 - N <= lambda + a <= N + 1.
+    """
+    N = draw(st.integers(0, 2))
+    m = N + draw(st.integers(1, 3))
+    a = draw(st.integers(0, 6))
+    near = st.integers(min(-N - a, 1 - m), 2 - m).map(Fraction)
+    lam = draw(st.one_of(near, st.fractions(min_value=-10, max_value=3, max_denominator=6)))
+    return lam, a, N, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(points())
+def test_predicate_dimension_equals_nullspace_dimension(point):
+    lam, a, N, m = point
+    assert classify(lam, lam + a, N, m).dimension == solve_xi(SystemParams(lam, lam + a, N, m)).dimension

@@ -1,5 +1,6 @@
 """Exact scalar layer: rising factorials, gamma quotients, Gaussian rationals."""
 
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -117,3 +118,58 @@ def test_proportional_scalar_on_coefficient_maps():
     assert proportional_scalar(reference, {"x": G(F(1)), "y": G(F(1))}) is None
     assert proportional_scalar({"z": G()}, {"x": G(F(1))}) is None  # zero reference
     assert proportional_scalar({"x": F(2)}, {"x": G(F(0), F(1))}) == G(F(0), F(1, 2))  # rational reference
+    G = GaussianRational
+    assert proportional_scalar({"x": G(2), "y": G(4)}, {"x": 1, "y": 2}) == F(1, 2)  # plain-number values
+
+
+def test_gaussian_equality_is_numeric_with_matching_hashes():
+    assert GaussianRational(F(1)) == 1
+    assert 1 == GaussianRational(1)
+    assert GaussianRational(F(3, 4)) == F(3, 4)
+    assert GaussianRational() == 0
+    assert GaussianRational(1, 1) != 1
+    assert GaussianRational(F(1, 2)) != 1
+    assert GaussianRational(1) != "1"
+    for value in (0, 1, -7, F(3, 4), F(-5, 2)):
+        assert hash(GaussianRational(value)) == hash(value)
+    assert {GaussianRational(2): "two"}[2] == "two"
+    assert hash(GaussianRational(F(1, 2), F(-3))) == hash(GaussianRational(F(1, 2), F(-3)))
+
+
+def test_gaussian_parts_are_fractions_and_immutable():
+    g = GaussianRational(3, -2)
+    assert type(g.re) is F and type(g.im) is F
+    assert type((GaussianRational(1) / 2).re) is F
+    assert GaussianRational(1) * 3 == GaussianRational(3)
+    assert 3 * GaussianRational(1, 1) == GaussianRational(3, 3)
+    with pytest.raises(AttributeError):
+        g.re = F(5)
+    with pytest.raises(AttributeError):
+        del g.im
+    assert g == GaussianRational(3, -2)
+
+
+def test_gaussian_pickle_round_trip():
+    g = GaussianRational(F(1, 2), F(-3))
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert pickle.loads(pickle.dumps(GaussianRational())) == 0
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", 1j, None])
+def test_gaussian_rejects_inexact_values(value):
+    with pytest.raises(TypeError):
+        GaussianRational(value)
+    with pytest.raises(TypeError):
+        GaussianRational(1, value)
+    with pytest.raises(TypeError):
+        GaussianRational.of(value)
+    assert GaussianRational(1).__add__(value) is NotImplemented
+    assert GaussianRational(1).__mul__(value) is NotImplemented
+    assert GaussianRational(1).__truediv__(value) is NotImplemented
+
+
+def test_gaussian_of_is_the_one_coercion():
+    g = GaussianRational(1, 2)
+    assert GaussianRational.of(g) is g
+    assert GaussianRational.of(3) == GaussianRational(3)
+    assert GaussianRational.of(F(-1, 3)) == GaussianRational(F(-1, 3))
