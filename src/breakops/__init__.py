@@ -10,7 +10,6 @@ along two independent routes.
 from .rational import (
     GaussianRational,
     PoleError,
-    Rational,
     binomial,
     gamma_ratio,
     i_power,
@@ -73,7 +72,6 @@ __all__ = [
     "NoSolutionError",
     "Poly",
     "PoleError",
-    "Rational",
     "SolutionVector",
     "SystemParams",
     "UnsupportedRegimeError",

@@ -14,6 +14,7 @@ rationals should be passed in the --flag=value form, e.g. --lambda=-7/3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,6 +37,12 @@ def _write(text: str, out_path: str | None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _error(args, params, message: str, code: int, **fields) -> int:
+    """Write the error document for a parameter point and return the exit code."""
+    _write(_dump({"error": message, "params": params.to_json(), **fields}), args.out)
+    return code
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -67,29 +74,10 @@ def cmd_solve(args) -> int:
     oriented = params.mirrored() if via_duality else params
     result = fsystem.solve_xi(oriented)
     if result.dimension == 0:
-        _write(
-            _dump(
-                {
-                    "dimension": 0,
-                    "error": "solution space is zero at these parameters",
-                    "params": params.to_json(),
-                }
-            ),
-            args.out,
-        )
-        return EXIT_EMPTY
+        return _error(args, params, "solution space is zero at these parameters", EXIT_EMPTY, dimension=0)
     if result.generator is None:
-        _write(
-            _dump(
-                {
-                    "dimension": result.dimension,
-                    "error": "solution space is not a line; uniqueness cross-check failed",
-                    "params": params.to_json(),
-                }
-            ),
-            args.out,
-        )
-        return EXIT_CHECK_FAILED
+        return _error(args, params, "solution space is not a line; uniqueness cross-check failed",
+                      EXIT_CHECK_FAILED, dimension=result.dimension)
     document = result.generator.to_json()
     document["dimension"] = result.dimension
     document["via_duality"] = via_duality
@@ -116,8 +104,7 @@ def cmd_operator(args) -> int:
     try:
         emitted = {form: operator.emit_operator(params, form) for form in forms}
     except NoSolutionError as exc:
-        _write(_dump({"dimension": 0, "error": str(exc), "params": params.to_json()}), args.out)
-        return EXIT_EMPTY
+        return _error(args, params, str(exc), EXIT_EMPTY, dimension=0)
     if args.format == "latex":
         _write("\n".join(emitted[f].latex() for f in forms) + "\n", args.out)
         return EXIT_OK
@@ -139,8 +126,7 @@ def cmd_operator(args) -> int:
     if args.form == "both":
         scalar = operator.compare_up_to_scalar(emitted["paper"], emitted["canonical"])
         if scalar is None or not scalar:
-            _write(_dump({"error": "operator routes disagree", "params": params.to_json()}), args.out)
-            return EXIT_CHECK_FAILED
+            return _error(args, params, "operator routes disagree", EXIT_CHECK_FAILED)
         document["proportionality"] = scalar.to_json()
     _write(_dump(document), args.out)
     return EXIT_OK
@@ -201,6 +187,9 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED if any(check.failures for _, check in results) else EXIT_OK
 
 
+# One parser serves every call, since each build leaves argparse's reference
+# cycles for the collector; it is built on first use, not at import.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="breakops", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,8 +10,9 @@ means lambda lies in the finite set
 
 computed here from this q-indexed form.  At such parameters every solution
 in this regime is automatically a differential operator, and each one sits
-at an isolated point of the parameter set, so the classification record
-carries both facts as flags.
+at an isolated point of the parameter set; the classification record
+carries both facts as flags, restated from the paper's theorems and not
+checked.
 
 The generator itself is a finite Gegenbauer sum.  With constants
 
@@ -34,10 +35,13 @@ where Cg(l, mu) is the renormalized Gegenbauer polynomial, zero for l < 0.
 The free overall constant is pinned to 1; against the nullspace generator
 only proportionality by a nonzero Gaussian rational is asserted.
 
-For m < -N nothing is re-derived: the involution Phi, which reverses the
-component order with alternating signs and flips the sign of zeta2, maps the
-solution symbols for m onto those for -m, and all negative-m artifacts are
-produced through it.
+For m < -N the generator is not re-derived: the involution Phi, which
+reverses the component order with alternating signs and flips the sign of
+zeta2, maps the solution symbols for m onto those for -m, and the canonical
+emission and the sweep reach negative m through it.  The paper-form
+emission instead writes the m < -N formulas out literally
+(``operator._emit_literal``); that literal mirror is the independent side
+against which the duality is checked.
 """
 
 from __future__ import annotations
@@ -56,16 +60,12 @@ from .gegenbauer import gegenbauer_it
 from .poly import Poly, VectorSymbol
 from .rational import (
     binomial,
-    floor_frac,
     gamma_ratio,
     i_power,
     is_integer,
     pochhammer,
     sign_pow,
 )
-
-ParamPoly = Poly  # polynomials in the spectral parameter lambda, rational coefficients
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -88,7 +88,11 @@ class Classification:
 
 
 def classify(lam: Fraction | int, nu: Fraction | int, N: int, m: int) -> Classification:
-    """Existence and uniqueness test for the operator at (lambda, nu, N, m)."""
+    """Existence and uniqueness test for the operator at (lambda, nu, N, m).
+
+    ``sporadic`` and ``all_sbos_differential`` restate the paper's theorems
+    for this regime; they are not checked here.
+    """
     if abs(m) <= N:
         raise UnsupportedRegimeError(f"regime |m| <= N unsupported (m={m}, N={N})")
     lam, nu = Fraction(lam), Fraction(nu)
@@ -144,10 +148,8 @@ def const_a(d: int, r: int, params: SystemParams) -> Fraction:
         raise ValueError("the constants require an integer nu (the sign (-1)^(nu-1))")
     mm = params.abs_m
     a = nu - lam
-    base = lam + floor_frac(Fraction(a - mm + N - d - 1, 2))
-    offset = floor_frac(Fraction(-nu - lam - mm + N - d + 1, 2)) - floor_frac(
-        Fraction(a - mm + N - d - 1, 2)
-    )
+    base = lam + (a - mm + N - d - 1) // 2
+    offset = (-nu - lam - mm + N - d + 1) // 2 - (a - mm + N - d - 1) // 2
     out = sign_pow(int(nu - 1)) * _gamma_dr(d, r, params)
     return out * gamma_ratio(base, offset) * pochhammer(N + nu - r, r)
 
@@ -165,8 +167,8 @@ def _gamma_dr(d: int, r: int, params: SystemParams) -> Fraction:
     N, lam, nu = params.N, params.lam, params.nu
     mm = params.abs_m
     a = nu - lam
-    base = lam + floor_frac(Fraction(a - mm - 1, 2))
-    offset = floor_frac(Fraction(a - mm + N - d - 1, 2)) - floor_frac(Fraction(a - mm - 1, 2))
+    base = lam + (a - mm - 1) // 2
+    offset = (a - mm + N - d - 1) // 2 - (a - mm - 1) // 2
     out = binomial(d, r) * gamma_ratio(base, offset)
     out *= pochhammer(N + 1, N - r)  # Gamma(2N-r+1)/Gamma(N+1)
     out *= pochhammer(N + mm + 1 - r, r)  # Gamma(N+|m|+1)/Gamma(N+|m|+1-r)
@@ -198,10 +200,8 @@ def aux_constants(j: int, r: int, params: SystemParams) -> AuxConstants:
     d_const = shared * pochhammer(N + m + 1 - r, r) * pochhammer(q - 2 * N, r)
     gammas = []
     for sign in (1, -1):
-        base = lam + floor_frac(Fraction(a + sign * m + j - 1, 2))
-        offset = floor_frac(Fraction(a + sign * m + N - 1, 2)) - floor_frac(
-            Fraction(a + sign * m + j - 1, 2)
-        )
+        base = lam + (a + sign * m + j - 1) // 2
+        offset = (a + sign * m + N - 1) // 2 - (a + sign * m + j - 1) // 2
         gammas.append(pochhammer(base, offset))
     return AuxConstants(c_plus, c_minus, d_const, gammas[0], gammas[1])
 
@@ -252,15 +252,15 @@ def dual_solution(phi: VectorSymbol, params: SystemParams) -> VectorSymbol:
 
 
 class ConsistencyPolynomials(NamedTuple):
-    p: ParamPoly
-    q: ParamPoly
-    alpha_plus: ParamPoly
-    alpha_minus: ParamPoly
-    beta_plus: ParamPoly
-    beta_minus: ParamPoly
+    p: Poly
+    q: Poly
+    alpha_plus: Poly
+    alpha_minus: Poly
+    beta_plus: Poly
+    beta_minus: Poly
 
 
-def _poch_poly(shift: Fraction | int, r: int) -> ParamPoly:
+def _poch_poly(shift: Fraction | int, r: int) -> Poly:
     """(lambda + shift)_r as a polynomial in lambda."""
     out = Poly([1])
     for i in range(r):
@@ -268,9 +268,9 @@ def _poch_poly(shift: Fraction | int, r: int) -> ParamPoly:
     return out
 
 
-def _alpha_beta(N: int, a: int, m: int, even_shift: int) -> ParamPoly:
+def _alpha_beta(N: int, a: int, m: int, even_shift: int) -> Poly:
     """Common builder: even_shift 0 gives alpha, 1 gives beta (for this m)."""
-    half = floor_frac(Fraction(a + m + 2 * even_shift, 2))
+    half = (a + m + 2 * even_shift) // 2
     total = Poly()
     for r in range(N + 1):
         const = binomial(N, r) * pochhammer(N + 1, N - r) * pochhammer(N - m + 1 - r, r)
@@ -294,9 +294,9 @@ def consistency_polynomials(N: int, a: int, m: int) -> ConsistencyPolynomials:
     def linear(c: int) -> Poly:
         return Poly([c, 1])
 
-    p = linear(floor_frac(Fraction(a + m - 1, 2))) * floor_frac(Fraction(a + m, 2))
+    p = linear((a + m - 1) // 2) * ((a + m) // 2)
     p = p * alpha_plus * beta_minus
-    p2 = linear(floor_frac(Fraction(a - m - 1, 2))) * floor_frac(Fraction(a - m, 2))
+    p2 = linear((a - m - 1) // 2) * ((a - m) // 2)
     p2 = p2 * alpha_minus * beta_plus
     p = p - p2
 

@@ -32,17 +32,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 from .rational import i_power, pochhammer, sign_pow
 from .poly import Poly, ZERO_POLY, apply_weights
-
-
-class GegenParams(NamedTuple):
-    """A (degree, parameter) pair; negative degree denotes the zero polynomial."""
-
-    ell: int
-    mu: Fraction
 
 
 def gegenbauer(ell: int, mu: Fraction | int) -> Poly:

@@ -101,17 +101,11 @@ def juhl_operator(lam: Fraction | int, nu: Fraction | int) -> DiffOperator:
     return DiffOperator({(0, p, q, r): c for (p, q, r), c in blocks.items()})
 
 
-def circle_power(k: int, conjugate: bool = False) -> MultiPoly:
-    """(zeta1 + i zeta2)^k, or its zeta2-flipped twin when conjugate is set."""
+def circle_power(k: int) -> MultiPoly:
+    """(zeta1 + i zeta2)^k."""
     if k < 0:
         raise ValueError("harmonic factor exponent must be non-negative")
-    out: dict[tuple, GaussianRational] = {}
-    for j in range(k + 1):
-        coeff = binomial(k, j) * i_power(j)
-        if conjugate and j % 2:
-            coeff = -coeff
-        out[(k - j, j, 0)] = coeff
-    return MultiPoly(out)
+    return MultiPoly({(k - j, j, 0): binomial(k, j) * i_power(j) for j in range(k + 1)})
 
 
 def symbol_psi(params: SystemParams, sol: SolutionVector) -> VectorSymbol:

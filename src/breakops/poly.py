@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rational import GR_ONE, GR_ZERO, SCALARS, GaussianRational, binomial
+from .rational import GR_ZERO, SCALARS, GaussianRational, binomial
 
 NEG_INFINITY = float("-inf")
 
@@ -105,7 +105,6 @@ class Poly:
 
 
 ZERO_POLY = Poly()
-ONE_POLY = Poly([GR_ONE])
 
 
 def monomial(degree: int, coeff=1) -> Poly:
@@ -162,9 +161,6 @@ class EvenSpace:
             return False
         parity = self.bound % 2
         return all(d % 2 == parity or not f.coeffs[d] for d in range(len(f.coeffs)))
-
-    def basis(self) -> list[Poly]:
-        return even_basis(self.bound)
 
 
 class TermMap:

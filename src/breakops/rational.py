@@ -22,9 +22,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
-
 class PoleError(ArithmeticError):
     """Raised when a gamma quotient genuinely diverges."""
 
@@ -61,11 +58,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be natural numbers")
     return math.comb(n, k)
-
-
-def floor_frac(x: Fraction | int) -> int:
-    """Floor toward minus infinity, the bracket [x] used by the constants."""
-    return math.floor(Fraction(x))
 
 
 def is_integer(x: Fraction | int) -> bool:

@@ -27,6 +27,12 @@ from . import closedform, fsystem, operator
 
 log = logging.getLogger(__name__)
 
+# lambda runs from LAMBDA_PAD_LOW below 1-N-a, the least admissible value at
+# (N, a), to LAMBDA_PAD_HIGH above N+1-a, the greatest, so that dimension-0
+# points flank every admissible set
+LAMBDA_PAD_LOW = 3
+LAMBDA_PAD_HIGH = 2
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -35,8 +41,6 @@ class SweepConfig:
     n_values: tuple[int, ...] = (0, 1, 2, 3)
     m_offsets: tuple[int, ...] = (1, 2, 3, 4)
     a_extra: int = 4
-    lambda_pad_low: int = 3
-    lambda_pad_high: int = 2
     extra_lambdas: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(-7, 3))
     include_negative_m: bool = True
     operator_max_n: int = 2
@@ -49,8 +53,8 @@ class SweepConfig:
             "n_values": list(self.n_values),
             "m_offsets": list(self.m_offsets),
             "a_extra": self.a_extra,
-            "lambda_pad_low": self.lambda_pad_low,
-            "lambda_pad_high": self.lambda_pad_high,
+            "lambda_pad_low": LAMBDA_PAD_LOW,
+            "lambda_pad_high": LAMBDA_PAD_HIGH,
             "extra_lambdas": [str(x) for x in self.extra_lambdas],
             "include_negative_m": self.include_negative_m,
             "operator_max_n": self.operator_max_n,
@@ -121,8 +125,8 @@ def build_tasks(config: SweepConfig) -> list[SweepTask]:
                 log.warning("skipping m=%d at N=%d: outside the |m| > N regime", m, n_val)
                 continue
             for a in range(m - n_val, m + n_val + config.a_extra + 1):
-                lows = 1 - n_val - a - config.lambda_pad_low
-                highs = n_val + 1 - a + config.lambda_pad_high
+                lows = 1 - n_val - a - LAMBDA_PAD_LOW
+                highs = n_val + 1 - a + LAMBDA_PAD_HIGH
                 lams = [Fraction(v) for v in range(lows, highs + 1)]
                 lams += list(config.extra_lambdas)
                 for lam in lams:
@@ -132,23 +136,43 @@ def build_tasks(config: SweepConfig) -> list[SweepTask]:
     return tasks
 
 
-def evaluate_task(task: SweepTask) -> list[Certificate]:
-    """Certify the positive point and, when asked, its mirror image."""
-    params = fsystem.SystemParams(task.lam, task.lam + task.a, task.N, task.m)
+def _certificate(params: fsystem.SystemParams, xi_dimension: int, mismatch_text: str) -> Certificate:
+    """The certificate of one point, failing with mismatch_text when the predicate disagrees."""
     outcome = closedform.classify(params.lam, params.nu, params.N, params.m)
-    result = fsystem.solve_xi(params)
     cert = Certificate(
         params=params,
         classification=outcome,
-        xi_dimension=result.dimension,
-        dimension_match=result.dimension == outcome.dimension,
+        xi_dimension=xi_dimension,
+        dimension_match=xi_dimension == outcome.dimension,
     )
     if not cert.dimension_match:
-        cert.failures.append("nullspace dimension disagrees with the predicate")
+        cert.failures.append(mismatch_text)
+    return cert
+
+
+def _check_routes(cert: Certificate, symbol, a: int, not_proportional_text: str, bad_order_text: str) -> None:
+    """Compare the paper-form emission at the certificate's point with the pull-back of symbol."""
+    paper = operator.emit_operator(cert.params, "paper")
+    canonical = operator.symbol_to_operator(symbol)
+    scalar = operator.compare_up_to_scalar(paper, canonical)
+    cert.operator_scalar = scalar
+    if scalar is None or not scalar:
+        cert.failures.append(not_proportional_text)
+    cert.operator_order_ok = paper.orders() == {a}
+    if not cert.operator_order_ok:
+        cert.failures.append(bad_order_text)
+
+
+def evaluate_task(task: SweepTask) -> list[Certificate]:
+    """Certify the positive point and, when asked, its mirror image."""
+    params = fsystem.SystemParams(task.lam, task.lam + task.a, task.N, task.m)
+    result = fsystem.solve_xi(params)
+    cert = _certificate(params, result.dimension, "nullspace dimension disagrees with the predicate")
     out = [cert]
+    check_operators = task.N <= task.operator_max_n
 
     psi = None
-    if result.dimension == 1 and outcome.dimension == 1:
+    if result.dimension == 1 and cert.classification.dimension == 1:
         try:
             closed = closedform.closed_solution(params)
             cert.even_space_ok = True
@@ -167,43 +191,20 @@ def evaluate_task(task: SweepTask) -> list[Certificate]:
             if not cert.annihilated:
                 cert.failures.append("closed form is not annihilated by all equations")
         psi = operator.symbol_psi(params, result.generator)
-        if task.N <= task.operator_max_n:
-            paper = operator.emit_operator(params, "paper")
-            canonical = operator.symbol_to_operator(psi)
-            scalar = operator.compare_up_to_scalar(paper, canonical)
-            cert.operator_scalar = scalar
-            if scalar is None or not scalar:
-                cert.failures.append("operator routes are not proportional by a nonzero scalar")
-            cert.operator_order_ok = paper.orders() == {task.a}
-            if not cert.operator_order_ok:
-                cert.failures.append("paper-form term order differs from nu - lambda")
+        if check_operators:
+            _check_routes(cert, psi, task.a, "operator routes are not proportional by a nonzero scalar",
+                          "paper-form term order differs from nu - lambda")
 
     if task.include_negative:
-        mirrored = params.mirrored()
-        neg_outcome = closedform.classify(mirrored.lam, mirrored.nu, mirrored.N, mirrored.m)
-        neg = Certificate(
-            params=mirrored,
-            classification=neg_outcome,
-            xi_dimension=result.dimension,
-            dimension_match=result.dimension == neg_outcome.dimension,
-        )
-        if not neg.dimension_match:
-            neg.failures.append("mirrored dimension disagrees with the predicate")
+        neg = _certificate(params.mirrored(), result.dimension, "mirrored dimension disagrees with the predicate")
         if psi is not None:
             flipped = closedform.dual_solution(psi, params)
             neg.duality_involution_ok = closedform.dual_solution(flipped, params) == psi
             if not neg.duality_involution_ok:
                 neg.failures.append("duality fails to be an involution on the generator symbol")
-            if task.N <= task.operator_max_n:
-                paper = operator.emit_operator(mirrored, "paper")
-                canonical = operator.symbol_to_operator(flipped)
-                scalar = operator.compare_up_to_scalar(paper, canonical)
-                neg.operator_scalar = scalar
-                if scalar is None or not scalar:
-                    neg.failures.append("mirrored operator routes are not proportional")
-                neg.operator_order_ok = paper.orders() == {task.a}
-                if not neg.operator_order_ok:
-                    neg.failures.append("mirrored paper-form term order differs from nu - lambda")
+            if check_operators:
+                _check_routes(neg, flipped, task.a, "mirrored operator routes are not proportional",
+                              "mirrored paper-form term order differs from nu - lambda")
         out.append(neg)
     return out
 

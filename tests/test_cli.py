@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, wire formats, schema validity, determinism."""
 
+import gc
 import importlib
 import json
 from importlib import resources as importlib_resources
@@ -225,6 +226,25 @@ def test_sweep_jobs_clamped_without_starting_processes(tmp_path, capsys, monkeyp
     assert seen == [min(3, tasks)]  # one CPU: no pool at all
     capsys.readouterr()
     assert (tmp_path / "many.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+def test_main_leaves_no_argparse_garbage(capsys):
+    """Repeated calls reuse one parser instead of leaving a parser's cycles to the collector."""
+    argv = ["classify", "--lambda=-1", "--nu", "2", "-N", "1", "-m", "2"]
+    assert main(argv) == 0  # warm-up
+    gc.collect()
+    flags = gc.get_debug()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        leftovers = [obj for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert leftovers == []
 
 
 def test_verify_gegenbauer_quick(capsys):

@@ -289,16 +289,16 @@ def _recursion_route_vector(p):
     from breakops.closedform import aux_constants
     from breakops.gegenbauer import gegenbauer_it
     from breakops.poly import Poly
-    from breakops.rational import floor_frac, gamma_ratio, i_power
+    from breakops.rational import gamma_ratio, i_power
     from breakops.fsystem import SolutionVector
 
     n_val, m_val, lam, a = p.N, p.m, p.lam, p.a
     q = int(n_val + 1 - a - lam)
-    base = lam + floor_frac(F(a - m_val - 1, 2))
+    base = lam + (a - m_val - 1) // 2
     components = {}
     for j in range(n_val + 1):
         scale = F(math.factorial(n_val + j), math.factorial(n_val))
-        offset = floor_frac(F(a - m_val + j - 1, 2)) - floor_frac(F(a - m_val - 1, 2))
+        offset = (a - m_val + j - 1) // 2 - (a - m_val - 1) // 2
         total = Poly()
         for r in range(n_val - j + 1):
             total = total + aux_constants(j, r, p).c_minus * gegenbauer_it(

@@ -41,7 +41,7 @@ def test_circle_power():
     assert circle_power(1) == MultiPoly({(1, 0, 0): 1, (0, 1, 0): i})
     # (z1 + i z2)^2 = z1^2 + 2i z1 z2 - z2^2
     assert circle_power(2) == MultiPoly({(2, 0, 0): 1, (1, 1, 0): 2 * i, (0, 2, 0): -1})
-    assert circle_power(1, conjugate=True) == MultiPoly({(1, 0, 0): 1, (0, 1, 0): -i})
+    assert circle_power(1).negate_zeta2() == MultiPoly({(1, 0, 0): 1, (0, 1, 0): -i})
 
 
 def test_symbol_to_operator_generators():
@@ -57,7 +57,7 @@ def test_symbol_to_operator_generators():
         {(0, 1, 2, 0): 8}
     )
     assert symbol_to_operator(VectorSymbol((circle_power(3),))) == DiffOperator({(0, 0, 3, 0): 8})
-    assert symbol_to_operator(VectorSymbol((circle_power(3, conjugate=True),))) == DiffOperator(
+    assert symbol_to_operator(VectorSymbol((circle_power(3).negate_zeta2(),))) == DiffOperator(
         {(0, 3, 0, 0): 8}
     )
 

@@ -1,5 +1,6 @@
-"""Property tests: GaussianRational against a pair-of-Fractions model, and the
-existence predicate against the nullspace over random parameter points.
+"""Property tests: GaussianRational against a pair-of-Fractions model, the
+existence predicate against the nullspace over random parameter points, and
+the two operator emissions against each other at random classified points.
 
 Opt-in: the module is skipped when hypothesis is not installed.
 """
@@ -11,8 +12,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from breakops.closedform import classify  # noqa: E402
+from breakops.closedform import classify, lambda_set  # noqa: E402
 from breakops.fsystem import SystemParams, solve_xi  # noqa: E402
+from breakops.operator import compare_up_to_scalar, emit_operator  # noqa: E402
 from breakops.rational import GaussianRational  # noqa: E402
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -87,3 +89,23 @@ def points(draw):
 def test_predicate_dimension_equals_nullspace_dimension(point):
     lam, a, N, m = point
     assert classify(lam, lam + a, N, m).dimension == solve_xi(SystemParams(lam, lam + a, N, m)).dimension
+
+
+@st.composite
+def classified_points(draw):
+    """A point where the space is a line: N <= 2, either sign of m, lambda in Lambda(N, a)."""
+    N = draw(st.integers(0, 2))
+    m = N + draw(st.integers(1, 3))
+    a = draw(st.integers(m - N, m + N + 2))
+    lam = draw(st.sampled_from(sorted(lambda_set(N, a, m))))
+    sign = draw(st.sampled_from((1, -1)))
+    return SystemParams(Fraction(lam), Fraction(lam + a), N, sign * m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(classified_points())
+def test_paper_and_canonical_emissions_agree(params):
+    paper = emit_operator(params, "paper")
+    scalar = compare_up_to_scalar(paper, emit_operator(params, "canonical"))
+    assert scalar is not None and scalar
+    assert paper.orders() == {params.a}

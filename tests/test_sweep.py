@@ -3,7 +3,8 @@
 import logging
 from fractions import Fraction as F
 
-from breakops.sweep import Certificate, SweepConfig, build_tasks, evaluate_task, run_sweep
+from breakops import fsystem, operator
+from breakops.sweep import Certificate, SweepConfig, SweepTask, build_tasks, evaluate_task, run_sweep
 
 
 SMALL = SweepConfig(
@@ -37,6 +38,24 @@ def test_evaluate_task_positive_and_mirror():
     positive, negative = certs
     assert positive.params.m == task.m and negative.params.m == -task.m
     assert positive.dimension_match and negative.dimension_match
+
+
+ONE_DIMENSIONAL = SweepTask(N=1, m=2, a=3, lam=F(-1), include_negative=True, operator_max_n=2)
+
+
+def test_failure_texts_of_both_orientations(monkeypatch):
+    """Each orientation reports its own failure text when a route disagrees."""
+    assert [c.failures for c in evaluate_task(ONE_DIMENSIONAL)] == [[], []]
+    with monkeypatch.context() as patch:
+        patch.setattr(operator, "compare_up_to_scalar", lambda first, second: None)
+        positive, mirrored = evaluate_task(ONE_DIMENSIONAL)
+    assert positive.failures == ["operator routes are not proportional by a nonzero scalar"]
+    assert mirrored.failures == ["mirrored operator routes are not proportional"]
+    with monkeypatch.context() as patch:
+        patch.setattr(fsystem, "solve_xi", lambda params: fsystem.XiResult(0, None))
+        positive, mirrored = evaluate_task(ONE_DIMENSIONAL)
+    assert positive.failures == ["nullspace dimension disagrees with the predicate"]
+    assert mirrored.failures == ["mirrored dimension disagrees with the predicate"]
 
 
 def test_run_sweep_small_grid_all_pass():
