@@ -55,6 +55,8 @@ from .operator import (
     compare_up_to_scalar,
     emit_operator,
     juhl_operator,
+    mirror_operator,
+    read_off,
     symbol_psi,
     symbol_to_operator,
 )
@@ -103,9 +105,11 @@ __all__ = [
     "juhl_operator",
     "k_support",
     "lambda_set",
+    "mirror_operator",
     "nullspace",
     "parse_rational",
     "pochhammer",
+    "read_off",
     "solve_xi",
     "structure_constants",
     "symbol_psi",

@@ -28,7 +28,8 @@ Each equation sends t^d to at most t^d, t^(d-1) and t^(d-2), so it is written
 once as per-degree weights (``equation_weights``), read by evaluation and assembly.
 
 The solver is only ever assembled for m > N; negative m is reached through
-the component-reversing duality at the symbol level.  Non-integer rational
+the component-reversing duality, which acts on symbols and, equivalently, on
+the operator read off the generator.  Non-integer rational
 lambda is a legitimate input (the solution space is then zero).
 """
 
@@ -310,10 +311,13 @@ def nullspace(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
     ncols = matrix.ncols
     work: list[list[int]] = []
     for row in matrix.rows:
-        if all(x == 0 for x in row):
+        if not any(row):
             continue
         scale = lcm(*[x.denominator for x in row])  # from a generator, peak RSS grew every sweep
-        work.append([int(x * scale) for x in row])
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    # each kept integer row is a positive multiple of its source row, and dropped
+    # rows are zero, so a vector is checked against the matrix on these rows
+    integer_rows = [row[:] for row in work]
 
     pivots: list[tuple[int, int]] = []  # (row, col) in echelon order
     prev = 1
@@ -362,9 +366,10 @@ def nullspace(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
         first = next(x for x in vec if x)
         if first != 1:
             vec = [x / first for x in vec]
-        for row in matrix.rows:
-            if sum(row[c] * vec[c] for c in range(ncols)) != 0:
-                raise ArithmeticError("kernel vector fails verification against the matrix")
+        common = lcm(*[x.denominator for x in vec])
+        support = [(c, x.numerator * (common // x.denominator)) for c, x in enumerate(vec) if x]
+        if any(sum(row[c] * x for c, x in support) for row in integer_rows):
+            raise ArithmeticError("kernel vector fails verification against the matrix")
         basis.append(tuple(vec))
     return basis
 

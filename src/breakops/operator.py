@@ -10,14 +10,20 @@ a scalar Juhl block, the inflated Gegenbauer polynomial evaluated on
 exact constant.  Blocks whose Gegenbauer degree would be negative vanish by
 the negative-degree convention.
 
-Route two ("canonical") goes through the solution vector: inflate each
-component, attach the harmonic factor (zeta1 + i zeta2)^k, and pull the
-three-variable symbol back to derivatives.  The pull-back substitutes
-w = zeta1 + i zeta2 and wbar = zeta1 - i zeta2, under which a monomial
-w^al wbar^be zeta3^s corresponds to 2^(al+be) dz^be dzbar^al dx3^s; this is
-the inverse symbol map combined with d/dx1 + i d/dx2 = 2 d/dzbar and the
-Laplacian identity on the plane.  Negative m is reached by applying the
-duality involution to the mirrored symbol before the pull-back.
+Route two ("canonical") is read off the nullspace generator.  Its symbol
+inflates each component, attaches the harmonic factor (zeta1 + i zeta2)^k,
+and is pulled back to derivatives by substituting w = zeta1 + i zeta2 and
+wbar = zeta1 - i zeta2, under which a monomial w^al wbar^be zeta3^s
+corresponds to 2^(al+be) dz^be dzbar^al dx3^s; this is the inverse symbol map
+combined with d/dx1 + i d/dx2 = 2 d/dzbar and the Laplacian identity on the
+plane.  Each generator coefficient c_s t^s of g_k becomes the symbol term
+c_s (w wbar)^u w^k zeta3^s with u = (a-k-s)/2, hence exactly one operator
+term, which ``read_off`` writes down without building the symbol.  Negative
+m is reached through the duality involution, which on operators swaps dz
+and dzbar and reverses the components with alternating signs
+(``mirror_operator``).  The symbol route (``symbol_psi``,
+``symbol_to_operator`` and ``closedform.dual_solution``) stays as the oracle
+the read-off is tested against.
 
 The two routes agree up to a nonzero scalar; the scalar is reported, never
 pinned to a closed form.
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .closedform import classify, const_a, const_b, dual_solution
+from .closedform import classify, const_a, const_b
 from .fsystem import NoSolutionError, SolutionVector, SystemParams, UnsupportedRegimeError, solve_xi
 from .gegenbauer import gegenbauer
 from .poly import MultiPoly, TermMap, VectorSymbol, inflate
@@ -147,8 +153,41 @@ def symbol_to_operator(psi: VectorSymbol) -> DiffOperator:
     return DiffOperator(terms)
 
 
+def read_off(params: SystemParams, generator: SolutionVector) -> DiffOperator:
+    """The canonical operator of a generator in the m > N orientation, one term per coefficient.
+
+    The coefficient c_s of t^s in g_k becomes c_s 2^(2u+k) dz^u dzbar^(u+k)
+    dx3^s on component k - m + N, with u = (a-k-s)/2: the pull-back of its
+    symbol term c_s (w wbar)^u w^k zeta3^s.  Equals
+    symbol_to_operator(symbol_psi(params, generator)).
+    """
+    if params.m <= params.N:
+        raise UnsupportedRegimeError("operators are read off in the m > N orientation")
+    a, k_min = params.a, params.m - params.N
+    terms: dict[TermKey, GaussianRational] = {}
+    for d, g in enumerate(generator.entries):
+        k = k_min + d
+        for s, c in enumerate(g.coeffs):
+            if c:
+                u, odd = divmod(a - k - s, 2)
+                if odd or u < 0:
+                    raise ValueError(f"component g_{k} violates its even-parity space of bound {a - k}")
+                terms[d, u, u + k, s] = c * (1 << (2 * u + k))
+    return DiffOperator(terms)
+
+
+def mirror_operator(op: DiffOperator, N: int) -> DiffOperator:
+    """The duality involution on operators: (d, p, q, r) goes to (2N-d, q, p, r) times (-1)^d.
+
+    On symbols it reverses the components with sign (-1)^d and flips zeta2,
+    which swaps w and wbar, so dz and dzbar.  Equals
+    symbol_to_operator(dual_solution(psi, params)) for op = symbol_to_operator(psi).
+    """
+    return DiffOperator({(2 * N - d, q, p, r): -c if d % 2 else c for (d, p, q, r), c in op.terms.items()})
+
+
 def emit_operator(params: SystemParams, form: str) -> DiffOperator:
-    """Emit the operator, either from the literal formulas or via the symbol."""
+    """Emit the operator, either from the literal formulas or read off the generator."""
     outcome = classify(params.lam, params.nu, params.N, params.m)
     if outcome.dimension == 0:
         raise NoSolutionError("no operator exists at these parameters")
@@ -164,10 +203,8 @@ def _emit_canonical(params: SystemParams) -> DiffOperator:
     result = solve_xi(oriented)
     if result.generator is None:
         raise ArithmeticError("nullspace disagrees with the classification predicate")
-    psi = symbol_psi(oriented, result.generator)
-    if params.m <= params.N:
-        psi = dual_solution(psi, oriented)
-    return symbol_to_operator(psi)
+    canonical = read_off(oriented, result.generator)
+    return canonical if params.m > params.N else mirror_operator(canonical, params.N)
 
 
 def _emit_literal(params: SystemParams) -> DiffOperator:

@@ -6,9 +6,10 @@ dimension, and at one-dimensional points it additionally checks that the
 closed-form generator spans the nullspace, is annihilated by all equations,
 and that both operator emission routes agree up to a nonzero scalar (the
 operator checks are bounded to N <= operator_max_n to keep desk runs fast).
-Negative m is certified through the duality: the mirrored point reuses the
-positive solve, applies the involution at the symbol level, and compares
-against the literal negative-orientation formulas.
+The canonical operator is read off the nullspace generator, one term per
+coefficient.  Negative m is certified through the duality: the mirrored
+point reuses the positive solve, applies the involution to the canonical
+operator, and compares it against the literal negative-orientation formulas.
 
 Workers may evaluate points concurrently, but certificates are emitted in
 ascending (N, m, a, lambda) order regardless of scheduling, so output files
@@ -150,10 +151,10 @@ def _certificate(params: fsystem.SystemParams, xi_dimension: int, mismatch_text:
     return cert
 
 
-def _check_routes(cert: Certificate, symbol, a: int, not_proportional_text: str, bad_order_text: str) -> None:
-    """Compare the paper-form emission at the certificate's point with the pull-back of symbol."""
+def _check_routes(cert: Certificate, canonical: operator.DiffOperator, a: int,
+                  not_proportional_text: str, bad_order_text: str) -> None:
+    """Compare the paper-form emission at the certificate's point with the canonical operator."""
     paper = operator.emit_operator(cert.params, "paper")
-    canonical = operator.symbol_to_operator(symbol)
     scalar = operator.compare_up_to_scalar(paper, canonical)
     cert.operator_scalar = scalar
     if scalar is None or not scalar:
@@ -171,7 +172,7 @@ def evaluate_task(task: SweepTask) -> list[Certificate]:
     out = [cert]
     check_operators = task.N <= task.operator_max_n
 
-    psi = None
+    canonical = None
     if result.dimension == 1 and cert.classification.dimension == 1:
         try:
             closed = closedform.closed_solution(params)
@@ -190,16 +191,16 @@ def evaluate_task(task: SweepTask) -> list[Certificate]:
             )
             if not cert.annihilated:
                 cert.failures.append("closed form is not annihilated by all equations")
-        psi = operator.symbol_psi(params, result.generator)
+        canonical = operator.read_off(params, result.generator)
         if check_operators:
-            _check_routes(cert, psi, task.a, "operator routes are not proportional by a nonzero scalar",
+            _check_routes(cert, canonical, task.a, "operator routes are not proportional by a nonzero scalar",
                           "paper-form term order differs from nu - lambda")
 
     if task.include_negative:
         neg = _certificate(params.mirrored(), result.dimension, "mirrored dimension disagrees with the predicate")
-        if psi is not None:
-            flipped = closedform.dual_solution(psi, params)
-            neg.duality_involution_ok = closedform.dual_solution(flipped, params) == psi
+        if canonical is not None:
+            flipped = operator.mirror_operator(canonical, task.N)
+            neg.duality_involution_ok = operator.mirror_operator(flipped, task.N) == canonical
             if not neg.duality_involution_ok:
                 neg.failures.append("duality fails to be an involution on the generator symbol")
             if check_operators:

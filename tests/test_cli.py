@@ -298,7 +298,7 @@ POINT = ("--lambda=-1", "--nu", "2", "-N", "1", "-m", "2")
     [
         ("fsystem", "nullspace", ArithmeticError, ("solve", *POINT)),
         ("operator", "const_a", PoleError, ("operator", *POINT, "--form", "paper")),
-        ("operator", "symbol_to_operator", ArithmeticError, ("operator", *POINT, "--form", "canonical")),
+        ("operator", "read_off", ArithmeticError, ("operator", *POINT, "--form", "canonical")),
         ("fsystem", "nullspace", PoleError, ("sweep", "--max-N", "0", "--m-span", "1", "--a-extra", "0")),
     ],
 )

@@ -1,6 +1,7 @@
 """The coupled system: assembly, exact nullspace, and the spectral dimension."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -21,6 +22,7 @@ from breakops.fsystem import (
     unknown_columns,
 )
 from breakops.poly import Poly, ZERO_POLY, monomial
+from breakops.sweep import SweepConfig, build_tasks
 
 
 def test_params_reject_small_m():
@@ -210,3 +212,78 @@ def test_nullspace_on_assembled_systems_against_plain_elimination():
         mat = assemble_system(SystemParams(F(lam), F(lam + a), n_val, m_val))
         expected = _kernel_dimension_by_plain_elimination(mat.rows, mat.ncols)
         assert len(nullspace(mat)) == expected
+
+
+def _nullspace_reference(matrix):
+    """The same elimination, with Fraction products for the row scaling and for the verification."""
+    ncols = matrix.ncols
+    work = []
+    for row in matrix.rows:
+        if all(x == 0 for x in row):
+            continue
+        scale = lcm(*[x.denominator for x in row])
+        work.append([int(x * scale) for x in row])
+    pivots = []
+    prev = 1
+    pivot_row = 0
+    for col in range(ncols):
+        found = next((r for r in range(pivot_row, len(work)) if work[r][col] != 0), None)
+        if found is None:
+            continue
+        work[pivot_row], work[found] = work[found], work[pivot_row]
+        lead = work[pivot_row][col]
+        for r in range(pivot_row + 1, len(work)):
+            entry = work[r][col]
+            for c in range(col, ncols):
+                quotient, remainder = divmod(lead * work[r][c] - entry * work[pivot_row][c], prev)
+                assert not remainder
+                work[r][c] = quotient
+        pivots.append((pivot_row, col))
+        prev = lead
+        pivot_row += 1
+        if pivot_row == len(work):
+            break
+    pivot_cols = [c for _, c in pivots]
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [F(0)] * ncols
+        vec[free] = F(1)
+        for r, c in reversed(pivots):
+            if c > free:
+                continue
+            acc = sum((work[r][cc] * vec[cc] for cc in range(c + 1, ncols) if vec[cc]), F(0))
+            vec[c] = -acc / work[r][c]
+        first = next(x for x in vec if x)
+        vec = [x / first for x in vec]
+        for row in matrix.rows:
+            assert sum(row[c] * vec[c] for c in range(ncols)) == 0
+        basis.append(tuple(vec))
+    return basis
+
+
+def test_nullspace_matches_reference_on_desk_matrices():
+    tasks = [t for t in build_tasks(SweepConfig()) if t.N <= 2]
+    shapes = set()
+    for task in tasks:
+        params = SystemParams(task.lam, task.lam + task.a, task.N, task.m)
+        matrix = assemble_system(params)
+        assert nullspace(matrix) == _nullspace_reference(matrix), params
+        shapes.add((matrix.nrows, matrix.ncols))
+    assert len(tasks) > 500 and len(shapes) > 20
+
+
+def test_nullspace_matches_reference_with_mixed_denominators():
+    matrices = [
+        ((F(1, 2), F(1, 3), F(0)), (F(0), F(2, 5), F(-7, 6))),
+        ((F(0), F(0), F(0)), (F(3, 4), F(-3, 8), F(9, 16)), (F(1, 6), F(-1, 12), F(1, 8))),
+        (
+            (F(5, 7), F(0), F(-2, 9), F(4, 3)),
+            (F(-10, 7), F(1, 11), F(4, 9), F(0)),
+            (F(0), F(1, 11), F(0), F(8, 3)),
+        ),
+        ((F(2, 3), F(-4, 3)), (F(-1, 5), F(2, 5))),
+    ]
+    for rows in matrices:
+        matrix = ExactMatrix(rows, len(rows[0]))
+        basis = nullspace(matrix)
+        assert basis and basis == _nullspace_reference(matrix)

@@ -4,19 +4,23 @@ from fractions import Fraction as F
 
 import pytest
 
+from breakops import closedform, operator
 from breakops.closedform import dual_solution, lambda_set
-from breakops.fsystem import NoSolutionError, SystemParams, solve_xi
+from breakops.fsystem import NoSolutionError, SolutionVector, SystemParams, UnsupportedRegimeError, solve_xi
 from breakops.operator import (
     DiffOperator,
     circle_power,
     compare_up_to_scalar,
     emit_operator,
     juhl_operator,
+    mirror_operator,
+    read_off,
     symbol_psi,
     symbol_to_operator,
 )
-from breakops.poly import MultiPoly, VectorSymbol
+from breakops.poly import MultiPoly, Poly, VectorSymbol
 from breakops.rational import GaussianRational
+from breakops.sweep import SweepConfig, run_sweep
 from breakops.verify import legacy_order_one_operator
 
 
@@ -130,6 +134,58 @@ def test_emit_negative_m_via_duality():
             assert scalar is not None and bool(scalar)
             assert paper.orders() == {a}
             assert emit_operator(neg, "canonical") == canonical
+
+
+def _classified_points(max_n, m_span, a_extra):
+    """Every positive-m point with N <= max_n, m - N <= m_span, a <= m + N + a_extra whose space is a line."""
+    for n_val in range(max_n + 1):
+        for m_val in range(n_val + 1, n_val + m_span + 1):
+            for a in range(m_val - n_val, m_val + n_val + a_extra + 1):
+                for lam in sorted(lambda_set(n_val, a, m_val)):
+                    yield SystemParams(F(lam), F(lam + a), n_val, m_val)
+
+
+def test_read_off_and_mirror_match_the_symbol_route():
+    checked = 0
+    for p in _classified_points(2, 3, 3):
+        generator = solve_xi(p).generator
+        psi = symbol_psi(p, generator)
+        canonical = read_off(p, generator)
+        assert canonical == symbol_to_operator(psi), p
+        assert mirror_operator(canonical, p.N) == symbol_to_operator(dual_solution(psi, p)), p
+        checked += 1
+    assert checked > 100
+
+
+def test_read_off_rejects_the_mirrored_orientation_and_odd_parity():
+    p = SystemParams(F(-1), F(2), 1, 2)
+    generator = solve_xi(p).generator
+    with pytest.raises(UnsupportedRegimeError):
+        read_off(p.mirrored(), generator)
+    probe = SolutionVector(p, (Poly(), Poly([0, 1]), Poly()), validate=False)  # t spans EvenSpace(a - 2)
+    assert read_off(p, probe) == DiffOperator({(1, 0, 2, 1): 4})
+    with pytest.raises(ValueError):  # the constant 1 does not lie in EvenSpace(1)
+        read_off(p, SolutionVector(p, (Poly(), Poly([1]), Poly()), validate=False))
+
+
+def test_mirror_operator_is_an_involution():
+    op = DiffOperator({(0, 1, 2, 0): 3, (1, 0, 0, 4): F(1, 2), (2, 2, 0, 1): GaussianRational(F(1), F(-1))})
+    flipped = mirror_operator(op, 1)
+    assert flipped == DiffOperator(
+        {(2, 2, 1, 0): 3, (1, 0, 0, 4): F(-1, 2), (0, 0, 2, 1): GaussianRational(F(1), F(-1))}
+    )
+    assert mirror_operator(flipped, 1) == op
+
+
+def test_sweep_does_not_call_the_symbol_route(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the symbol route ran inside the sweep")
+
+    monkeypatch.setattr(operator, "symbol_psi", fail)
+    monkeypatch.setattr(operator, "symbol_to_operator", fail)
+    monkeypatch.setattr(closedform, "dual_solution", fail)
+    _, summary = run_sweep(SweepConfig(n_values=(0, 1), m_offsets=(1,), a_extra=0))
+    assert summary["dim1"] > 0 and summary["failures"] == 0
 
 
 def test_compare_up_to_scalar_conventions():

@@ -1,6 +1,7 @@
 """Property tests: GaussianRational against a pair-of-Fractions model, the
-existence predicate against the nullspace over random parameter points, and
-the two operator emissions against each other at random classified points.
+existence predicate against the nullspace over random parameter points of
+both signs of m, the two operator emissions against each other at random
+classified points, and the canonical read-off against the symbol route.
 
 Opt-in: the module is skipped when hypothesis is not installed.
 """
@@ -12,9 +13,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from breakops.closedform import classify, lambda_set  # noqa: E402
+from breakops.closedform import classify, dual_solution, lambda_set  # noqa: E402
 from breakops.fsystem import SystemParams, solve_xi  # noqa: E402
-from breakops.operator import compare_up_to_scalar, emit_operator  # noqa: E402
+from breakops.operator import (  # noqa: E402
+    compare_up_to_scalar,
+    emit_operator,
+    symbol_psi,
+    symbol_to_operator,
+)
 from breakops.rational import GaussianRational  # noqa: E402
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -91,6 +97,13 @@ def test_predicate_dimension_equals_nullspace_dimension(point):
     assert classify(lam, lam + a, N, m).dimension == solve_xi(SystemParams(lam, lam + a, N, m)).dimension
 
 
+@settings(max_examples=100, deadline=None)
+@given(points())
+def test_predicate_at_negative_m_equals_the_positive_nullspace_dimension(point):
+    lam, a, N, m = point
+    assert classify(lam, lam + a, N, -m).dimension == solve_xi(SystemParams(lam, lam + a, N, m)).dimension
+
+
 @st.composite
 def classified_points(draw):
     """A point where the space is a line: N <= 2, either sign of m, lambda in Lambda(N, a)."""
@@ -109,3 +122,13 @@ def test_paper_and_canonical_emissions_agree(params):
     scalar = compare_up_to_scalar(paper, emit_operator(params, "canonical"))
     assert scalar is not None and scalar
     assert paper.orders() == {params.a}
+
+
+@settings(max_examples=40, deadline=None)
+@given(classified_points())
+def test_canonical_read_off_matches_the_symbol_route(params):
+    oriented = params if params.m > 0 else params.mirrored()
+    psi = symbol_psi(oriented, solve_xi(oriented).generator)
+    if params.m < 0:
+        psi = dual_solution(psi, oriented)
+    assert emit_operator(params, "canonical") == symbol_to_operator(psi)
