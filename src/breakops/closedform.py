@@ -56,13 +56,15 @@ from .fsystem import (
     SystemParams,
     UnsupportedRegimeError,
 )
-from .gegenbauer import gegenbauer_it
+from .gegenbauer import gegenbauer_coeffs
 from .poly import Poly, VectorSymbol
 from .rational import (
+    GR_ZERO,
     binomial,
     gamma_ratio,
     i_power,
     is_integer,
+    narrow,
     pochhammer,
     sign_pow,
 )
@@ -143,7 +145,7 @@ def _check_dr(d: int, r: int, N: int) -> None:
 def const_a(d: int, r: int, params: SystemParams) -> Fraction:
     """A(d, r); may hit a genuine gamma pole away from classified parameters."""
     _check_dr(d, r, params.N)
-    N, lam, nu = params.N, params.lam, params.nu
+    N, lam, nu = params.N, narrow(params.lam), narrow(params.nu)
     if not is_integer(nu):
         raise ValueError("the constants require an integer nu (the sign (-1)^(nu-1))")
     mm = params.abs_m
@@ -157,14 +159,14 @@ def const_a(d: int, r: int, params: SystemParams) -> Fraction:
 def const_b(d: int, r: int, params: SystemParams) -> Fraction:
     """B(d, r)."""
     _check_dr(d, r, params.N)
-    N, nu = params.N, params.nu
+    N, nu = params.N, narrow(params.nu)
     if not is_integer(nu):
         raise ValueError("the constants require an integer nu (the sign (-1)^(nu-1))")
     return sign_pow(d - N) * _gamma_dr(2 * N - d, r, params) * pochhammer(N - nu + 2 - r, r)
 
 
 def _gamma_dr(d: int, r: int, params: SystemParams) -> Fraction:
-    N, lam, nu = params.N, params.lam, params.nu
+    N, lam, nu = params.N, narrow(params.lam), narrow(params.nu)
     mm = params.abs_m
     a = nu - lam
     base = lam + (a - mm - 1) // 2
@@ -214,26 +216,27 @@ def closed_solution(params: SystemParams) -> SolutionVector:
     outcome = classify(params.lam, params.nu, N, m)
     if outcome.dimension == 0:
         raise NoSolutionError("solution space is zero at these parameters")
-    lam, nu = params.lam, params.nu
+    lam, nu = narrow(params.lam), narrow(params.nu)  # both integers once classified
     a = params.a
-    sign_nu = sign_pow(int(nu - 1))
+    sign_nu = sign_pow(nu - 1)
     entries = []
     for k in range(m - N, m + N + 1):
         d = N - m + k
-        total = Poly()
         if k < m:
-            for r in range(d + 1):
-                ell = a - k + 2 * (1 - N - int(nu) + r)
-                term = gegenbauer_it(ell, lam + N - 1 - r)
-                total = total + (sign_pow(r) * const_a(d, r, params)) * term
-            scalar = i_power(k - m) * sign_nu
+            turn, sign = k - m, sign_nu
+            terms = [(a - k + 2 * (1 - N - nu + r), r, const_a(d, r, params)) for r in range(d + 1)]
         else:
-            for r in range(2 * N - d + 1):
-                ell = a + k - 2 * (m + N - r)
-                term = gegenbauer_it(ell, lam + N - 1 - r)
-                total = total + (sign_pow(r) * const_b(d, r, params)) * term
-            scalar = i_power(m - k)
-        entries.append(scalar * total)
+            turn, sign = m - k, 1
+            terms = [(a + k - 2 * (m + N - r), r, const_b(d, r, params)) for r in range(2 * N - d + 1)]
+        # sum the real coefficients of the Cg(ell, mu)(z) first, then turn each by i^(turn+deg);
+        # a summed degree may exceed a - k before the top terms cancel
+        total = [0] * max(ell + 1 for ell, _, _ in terms)
+        for ell, r, const in terms:
+            scale = sign * sign_pow(r) * const
+            for deg, c in enumerate(gegenbauer_coeffs(ell, lam + N - 1 - r)):
+                if c:
+                    total[deg] += scale * c
+        entries.append(Poly([i_power(turn + deg) * c if c else GR_ZERO for deg, c in enumerate(total)]))
     return SolutionVector(params, entries)
 
 

@@ -36,12 +36,13 @@ lambda is a legitimate input (the solution space is then zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .gegenbauer import gegenbauer_weights
 from .poly import EvenSpace, Poly, ZERO_POLY, apply_weights
-from .rational import GaussianRational, is_integer, parse_rational, proportional_scalar
+from .rational import GaussianRational, is_integer, narrow, parse_rational, proportional_scalar
 
 
 class UnsupportedRegimeError(ValueError):
@@ -83,7 +84,7 @@ class SystemParams:
             nu = parse_rational(nu)
         return cls(Fraction(lam), Fraction(nu), int(N), int(m))
 
-    @property
+    @cached_property
     def a(self) -> int | None:
         """nu - lambda when it is a non-negative integer, else None."""
         diff = self.nu - self.lam
@@ -199,7 +200,7 @@ def equation_weights(kind: str, sign: str, j: int, params: SystemParams) -> list
     The - equations are the + ones with s = -1 folded into the component
     indices, the degree of S, the sign of m and the derivative couplings.
     """
-    lam, m, N = params.lam, params.m, params.N
+    lam, m, N = narrow(params.lam), params.m, params.N
     a = params.a
     if a is None:
         raise ValueError("the equations require nu - lambda to be a natural number")
@@ -351,26 +352,27 @@ def nullspace(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
 
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    zero = Fraction(0)
     basis: list[tuple[Fraction, ...]] = []
     for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        # back-substitute in integers: vec stays an integer multiple of the kernel vector
+        vec = [0] * ncols
+        vec[free] = 1
         for r, c in reversed(pivots):
             if c > free:
                 continue
-            acc = Fraction(0)
-            for cc in range(c + 1, ncols):
-                if vec[cc]:
-                    acc += work[r][cc] * vec[cc]
-            vec[c] = -acc / work[r][c]
-        first = next(x for x in vec if x)
-        if first != 1:
-            vec = [x / first for x in vec]
-        common = lcm(*[x.denominator for x in vec])
-        support = [(c, x.numerator * (common // x.denominator)) for c, x in enumerate(vec) if x]
+            row = work[r]
+            acc = sum(row[cc] * vec[cc] for cc in range(c + 1, ncols) if vec[cc])
+            lead = row[c]
+            common = gcd(acc, lead) if lead > 0 else -gcd(acc, lead)
+            if (scale := lead // common) != 1:
+                vec = [x * scale for x in vec]
+            vec[c] = -acc // common
+        support = [(c, x) for c, x in enumerate(vec) if x]
         if any(sum(row[c] * x for c, x in support) for row in integer_rows):
             raise ArithmeticError("kernel vector fails verification against the matrix")
-        basis.append(tuple(vec))
+        first = support[0][1]
+        basis.append(tuple(Fraction(x, first) if x else zero for x in vec))
     return basis
 
 

@@ -34,22 +34,25 @@ import math
 from fractions import Fraction
 
 from .rational import i_power, pochhammer, sign_pow
-from .poly import Poly, ZERO_POLY, apply_weights
+from .poly import Poly, apply_weights
+
+
+def gegenbauer_coeffs(ell: int, mu: Fraction | int) -> list:
+    """Rational coefficients of the renormalized polynomial of degree ell, indexed by degree; [] for ell < 0."""
+    if ell < 0:
+        return []
+    half_up = (ell + 1) // 2
+    coeffs = [0] * (ell + 1)
+    for k in range(ell // 2 + 1):
+        n = ell - 2 * k
+        ratio = pochhammer(mu + half_up, ell - k - half_up)
+        coeffs[n] = ratio * (sign_pow(k) << n) / (math.factorial(k) * math.factorial(n))
+    return coeffs
 
 
 def gegenbauer(ell: int, mu: Fraction | int) -> Poly:
     """Renormalized Gegenbauer polynomial of degree ell in z."""
-    if ell < 0:
-        return ZERO_POLY
-    mu = Fraction(mu)
-    half_up = (ell + 1) // 2
-    coeffs = [0] * (ell + 1)
-    for k in range(ell // 2 + 1):
-        ratio = pochhammer(mu + half_up, ell - k - half_up)
-        value = ratio * sign_pow(k) * Fraction(2) ** (ell - 2 * k)
-        value /= math.factorial(k) * math.factorial(ell - 2 * k)
-        coeffs[ell - 2 * k] = value
-    return Poly(coeffs)
+    return Poly(gegenbauer_coeffs(ell, mu))
 
 
 def gegenbauer_it(ell: int, mu: Fraction | int) -> Poly:
@@ -67,7 +70,7 @@ def gamma_factor(mu: Fraction | int, ell: int) -> Fraction:
 
 def gegenbauer_weights(ell: int, mu: Fraction | int, imaginary: bool = False) -> tuple:
     """(shift, weight) pairs of G, or of S when imaginary is set."""
-    two_mu = 2 * Fraction(mu)
+    two_mu = 2 * mu
     sign = -1 if imaginary else 1
     return ((0, lambda d: (ell - d) * (ell + d + two_mu)), (-2, lambda d: sign * d * (d - 1)))
 

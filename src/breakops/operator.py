@@ -35,9 +35,9 @@ from fractions import Fraction
 
 from .closedform import classify, const_a, const_b
 from .fsystem import NoSolutionError, SolutionVector, SystemParams, UnsupportedRegimeError, solve_xi
-from .gegenbauer import gegenbauer
+from .gegenbauer import gegenbauer_coeffs
 from .poly import MultiPoly, TermMap, VectorSymbol, inflate
-from .rational import GR_ZERO, GaussianRational, binomial, i_power, is_integer, proportional_scalar, sign_pow
+from .rational import GR_ZERO, GaussianRational, binomial, i_power, is_integer, narrow, proportional_scalar, sign_pow
 
 TermKey = tuple[int, int, int, int]  # (component d, dz power, dzbar power, dx3 power)
 
@@ -80,19 +80,17 @@ class DiffOperator(TermMap):
         return f"DiffOperator({dict(self.sorted_terms())!r})"
 
 
-def _juhl_blocks(lam: Fraction, nu: Fraction) -> dict[tuple[int, int, int], Fraction]:
+def _juhl_blocks(lam: Fraction | int, nu: Fraction | int) -> dict[tuple[int, int, int], Fraction]:
     """Monomial content (p, q, r) -> coeff of the scalar Juhl block."""
     order = nu - lam
     if not (is_integer(order) and order >= 0):
         raise ValueError(f"Juhl block needs nu - lambda in N, got {order}")
     ell = int(order)
-    source = gegenbauer(ell, lam - 1)
+    source = gegenbauer_coeffs(ell, lam - 1)
     blocks: dict[tuple[int, int, int], Fraction] = {}
     for k in range(ell // 2 + 1):
-        c = source.coefficient(ell - 2 * k)
-        if not c:
-            continue
-        blocks[(k, k, ell - 2 * k)] = c.re * Fraction(-4) ** k
+        if c := source[ell - 2 * k]:
+            blocks[(k, k, ell - 2 * k)] = c * (-4) ** k
     return blocks
 
 
@@ -209,21 +207,21 @@ def _emit_canonical(params: SystemParams) -> DiffOperator:
 
 def _emit_literal(params: SystemParams) -> DiffOperator:
     N, m = params.N, params.m
-    lam, nu = params.lam, int(params.nu)
-    out = DiffOperator()
+    lam, nu = narrow(params.lam), int(params.nu)
+    terms: dict[TermKey, Fraction] = {}
     if m > N:
         for d in range(N):
             for r in range(d + 1):
                 const = Fraction(2) ** (d + 2 * nu - 2 * r - 2) * const_a(d, r, params)
-                out = out + _literal_term(
-                    const, d, lam + N - r, Fraction(2 - nu - d - m + r),
+                _add_literal_term(
+                    terms, const, d, lam + N - r, 2 - nu - d - m + r,
                     N + nu - r - 1, m + d + nu - r - 1,
                 )
         for d in range(N, 2 * N + 1):
             for r in range(2 * N - d + 1):
                 const = Fraction(2) ** (2 * N - d - 2 * r) * const_b(d, r, params)
-                out = out + _literal_term(
-                    const, d, lam + N - r, Fraction(nu + d - m - 2 * N + r),
+                _add_literal_term(
+                    terms, const, d, lam + N - r, nu + d - m - 2 * N + r,
                     2 * N - d - r, N + m - r,
                 )
     else:
@@ -231,36 +229,34 @@ def _emit_literal(params: SystemParams) -> DiffOperator:
             for r in range(d + 1):
                 const = Fraction(2) ** (d - 2 * r) * sign_pow(d)
                 const *= const_b(2 * N - d, r, params)
-                out = out + _literal_term(
-                    const, d, lam + N - r, Fraction(nu - d + m + r),
+                _add_literal_term(
+                    terms, const, d, lam + N - r, nu - d + m + r,
                     N - m - r, d - r,
                 )
         for d in range(N + 1, 2 * N + 1):
             for r in range(2 * N - d + 1):
                 const = Fraction(2) ** (2 * N - d + 2 * nu - 2 * r - 2) * sign_pow(d)
                 const *= const_a(2 * N - d, r, params)
-                out = out + _literal_term(
-                    const, d, lam + N - r, Fraction(2 - nu + d - 2 * N + m + r),
+                _add_literal_term(
+                    terms, const, d, lam + N - r, 2 - nu + d - 2 * N + m + r,
                     -m + 2 * N - d + nu - r - 1, N + nu - r - 1,
                 )
+    out = DiffOperator(terms)
     if out.is_zero():
         raise ArithmeticError("literal emission produced the zero operator")
     return out
 
 
-def _literal_term(const: Fraction, d: int, block_lam: Fraction, block_nu: Fraction,
-                  dz: int, dzbar: int) -> DiffOperator:
-    """One summand: constant * Juhl block * dz^dz dzbar^dzbar on component d."""
-    if const == 0:
-        return DiffOperator()
-    if block_nu - block_lam < 0:
-        return DiffOperator()  # negative-degree Gegenbauer block vanishes
+def _add_literal_term(terms: dict[TermKey, Fraction], const: Fraction, d: int, block_lam: Fraction | int,
+                      block_nu: int, dz: int, dzbar: int) -> None:
+    """Add one summand, constant * Juhl block * dz^dz dzbar^dzbar on component d, into terms."""
+    if const == 0 or block_nu - block_lam < 0:
+        return  # a negative-degree Gegenbauer block vanishes
     if dz < 0 or dzbar < 0:
         raise ArithmeticError("negative derivative power with a nonzero constant")
-    blocks = _juhl_blocks(block_lam, block_nu)
-    return DiffOperator(
-        {(d, p + dz, q + dzbar, r): const * c for (p, q, r), c in blocks.items()}
-    )
+    for (p, q, r), c in _juhl_blocks(block_lam, block_nu).items():
+        key = (d, p + dz, q + dzbar, r)
+        terms[key] = terms.get(key, 0) + const * c
 
 
 def compare_up_to_scalar(first: DiffOperator, second: DiffOperator) -> GaussianRational | None:

@@ -3,10 +3,15 @@
 Every number in this package lives in Q or Q(i); there are no floats
 anywhere.  Plain rationals are ``fractions.Fraction`` values, which are
 always reduced and keep a positive denominator, so they already satisfy the
-canonical-form invariants we need.  Numbers in Q(i) are ``GaussianRational``
-values with two Fraction parts.  ``GaussianRational.of`` is the one place a
-scalar is coerced: a GaussianRational stays itself, an int or a Fraction
-becomes a real one, and anything else (a float, a string) is a TypeError.
+canonical-form invariants we need.  Inside a computation a value that is an
+integer stays a Python ``int`` until a real division happens, because int
+arithmetic builds no Fraction; ``narrow`` turns an integral Fraction back
+into an int.  Public results (``pochhammer``, ``gamma_ratio``, the structure
+constants, matrix entries) are still Fractions.  Numbers in Q(i) are
+``GaussianRational`` values with two Fraction parts.  ``GaussianRational.of``
+is the one place a scalar is coerced: a GaussianRational stays itself, an
+int or a Fraction becomes a real one, and anything else (a float, a string)
+is a TypeError.
 Equality is numeric, so a real GaussianRational equals, and hashes like, the
 int or Fraction of the same value.  Gamma functions are never evaluated on
 their own: every gamma quotient in the constants downstream has an integer
@@ -26,15 +31,19 @@ class PoleError(ArithmeticError):
     """Raised when a gamma quotient genuinely diverges."""
 
 
+def narrow(x: Fraction | int) -> Fraction | int:
+    """x as an int when it is an integer, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def pochhammer(x: Fraction | int, n: int) -> Fraction:
     """Rising factorial x(x+1)...(x+n-1); the empty product (n=0) is 1."""
     if n < 0:
         raise ValueError(f"pochhammer length must be non-negative, got {n}")
-    out = Fraction(1)
-    x = Fraction(x)
+    out = 1
     for i in range(n):
         out *= x + i
-    return out
+    return Fraction(out)
 
 
 def gamma_ratio(x: Fraction | int, p: int) -> Fraction:
@@ -47,7 +56,7 @@ def gamma_ratio(x: Fraction | int, p: int) -> Fraction:
     """
     if p >= 0:
         return pochhammer(x, p)
-    denominator = pochhammer(Fraction(x) + p, -p)
+    denominator = pochhammer(x + p, -p)
     if denominator == 0:
         raise PoleError(f"gamma quotient Gamma({x}+{p})/Gamma({x}) diverges")
     return 1 / denominator
@@ -61,7 +70,7 @@ def binomial(n: int, k: int) -> int:
 
 
 def is_integer(x: Fraction | int) -> bool:
-    return Fraction(x).denominator == 1
+    return x.denominator == 1
 
 
 def sign_pow(k: int) -> int:

@@ -11,11 +11,14 @@ from breakops.closedform import (
     closed_solution,
     consistency_polynomials,
     dual_solution,
+    const_a,
+    const_b,
     lambda_set,
     structure_constants,
 )
 from breakops.fsystem import (
     NoSolutionError,
+    SolutionVector,
     SystemParams,
     UnsupportedRegimeError,
     apply_L,
@@ -25,7 +28,7 @@ from breakops.fsystem import (
 )
 from breakops.gegenbauer import gamma_factor, gegenbauer_it
 from breakops.poly import MultiPoly, Poly, VectorSymbol
-from breakops.rational import GaussianRational
+from breakops.rational import GaussianRational, i_power, sign_pow
 
 
 def test_lambda_set_enumeration():
@@ -183,6 +186,40 @@ def proportionality_poly(f, g):
     if f.degree != g.degree:
         return False
     return g * (f.coeffs[-1] / g.coeffs[-1]) == f
+
+
+def _closed_solution_reference(p):
+    """The closed form as Poly sums of substituted Gegenbauer polynomials over Q(i)."""
+    n_val, m_val, lam, nu, a = p.N, p.m, p.lam, p.nu, p.a
+    sign_nu = sign_pow(int(nu - 1))
+    entries = []
+    for k in range(m_val - n_val, m_val + n_val + 1):
+        d = n_val - m_val + k
+        total = Poly()
+        if k < m_val:
+            for r in range(d + 1):
+                term = gegenbauer_it(a - k + 2 * (1 - n_val - int(nu) + r), lam + n_val - 1 - r)
+                total = total + (sign_pow(r) * const_a(d, r, p)) * term
+            scalar = i_power(k - m_val) * sign_nu
+        else:
+            for r in range(2 * n_val - d + 1):
+                term = gegenbauer_it(a + k - 2 * (m_val + n_val - r), lam + n_val - 1 - r)
+                total = total + (sign_pow(r) * const_b(d, r, p)) * term
+            scalar = i_power(m_val - k)
+        entries.append(scalar * total)
+    return SolutionVector(p, entries)
+
+
+def test_closed_solution_matches_the_poly_sum_reference():
+    checked = 0
+    for n_val in range(3):
+        for m_val in range(n_val + 1, n_val + 4):
+            for a in range(m_val - n_val, m_val + n_val + 4):
+                for lam in sorted(lambda_set(n_val, a, m_val)):
+                    p = SystemParams(F(lam), F(lam + a), n_val, m_val)
+                    assert closed_solution(p) == _closed_solution_reference(p), p
+                    checked += 1
+    assert checked > 100
 
 
 def test_closed_solution_truncated_range():

@@ -1,5 +1,6 @@
 """Renormalized Gegenbauer polynomials, their operators, and identities."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from breakops.gegenbauer import (
     apply_imaginary_gegenbauer,
     gamma_factor,
     gegenbauer,
+    gegenbauer_coeffs,
     gegenbauer_it,
     vanishing_set,
 )
@@ -17,6 +19,33 @@ from breakops.rational import GaussianRational
 from breakops.verify import default_mu_values, gegenbauer_suite
 
 MUS = [F(1, 3), F(-5, 2), F(2), F(-4), F(0)]
+
+
+def _coeffs_reference(ell, mu):
+    """The coefficients by a Fraction loop: mu and every power of 2 wrapped as Fractions."""
+    if ell < 0:
+        return []
+    mu, half_up = F(mu), (ell + 1) // 2
+    coeffs = [F(0)] * (ell + 1)
+    for k in range(ell // 2 + 1):
+        ratio = F(1)
+        for i in range(ell - k - half_up):
+            ratio *= mu + half_up + i
+        value = ratio * (-1) ** k * F(2) ** (ell - 2 * k)
+        coeffs[ell - 2 * k] = value / (math.factorial(k) * math.factorial(ell - 2 * k))
+    return coeffs
+
+
+def test_gegenbauer_coeffs_match_the_polynomial_and_a_fraction_loop():
+    for mu in (-4, F(-3), -1, 0, 2, F(-7, 2), F(-3, 2), F(1, 2), F(1, 3)):
+        for ell in range(-2, 10):
+            coeffs = gegenbauer_coeffs(ell, mu)
+            assert coeffs == _coeffs_reference(ell, mu), (ell, mu)
+            assert all(type(c) is F for c in coeffs if c)
+            poly = gegenbauer(ell, mu)
+            assert poly.is_real()
+            size = len(poly.coeffs)
+            assert coeffs[:size] == [c.re for c in poly.coeffs] and not any(coeffs[size:]), (ell, mu)
 
 
 def test_low_degree_table():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from breakops import closedform, operator
-from breakops.closedform import dual_solution, lambda_set
+from breakops.closedform import const_a, const_b, dual_solution, lambda_set
 from breakops.fsystem import NoSolutionError, SolutionVector, SystemParams, UnsupportedRegimeError, solve_xi
 from breakops.operator import (
     DiffOperator,
@@ -18,8 +18,9 @@ from breakops.operator import (
     symbol_psi,
     symbol_to_operator,
 )
+from breakops.gegenbauer import gegenbauer
 from breakops.poly import MultiPoly, Poly, VectorSymbol
-from breakops.rational import GaussianRational
+from breakops.rational import GaussianRational, sign_pow
 from breakops.sweep import SweepConfig, run_sweep
 from breakops.verify import legacy_order_one_operator
 
@@ -155,6 +156,59 @@ def test_read_off_and_mirror_match_the_symbol_route():
         assert mirror_operator(canonical, p.N) == symbol_to_operator(dual_solution(psi, p)), p
         checked += 1
     assert checked > 100
+
+
+def _literal_term_reference(const, d, block_lam, block_nu, dz, dzbar):
+    """One summand of the paper form as its own operator, its Juhl block read off gegenbauer()."""
+    if const == 0 or block_nu - block_lam < 0:
+        return DiffOperator()
+    assert dz >= 0 and dzbar >= 0
+    ell = int(block_nu - block_lam)
+    source = gegenbauer(ell, block_lam - 1)
+    return DiffOperator({
+        (d, k + dz, k + dzbar, ell - 2 * k): const * source.coefficient(ell - 2 * k).re * F(-4) ** k
+        for k in range(ell // 2 + 1)
+    })
+
+
+def _emit_literal_reference(p):
+    """The paper form as a running DiffOperator sum of one operator per summand, all in Fractions."""
+    n_val, m_val, lam, nu = p.N, p.m, p.lam, int(p.nu)
+    out = DiffOperator()
+    if m_val > n_val:
+        for d in range(n_val):
+            for r in range(d + 1):
+                const = F(2) ** (d + 2 * nu - 2 * r - 2) * const_a(d, r, p)
+                out = out + _literal_term_reference(
+                    const, d, lam + n_val - r, F(2 - nu - d - m_val + r), n_val + nu - r - 1, m_val + d + nu - r - 1)
+        for d in range(n_val, 2 * n_val + 1):
+            for r in range(2 * n_val - d + 1):
+                const = F(2) ** (2 * n_val - d - 2 * r) * const_b(d, r, p)
+                out = out + _literal_term_reference(
+                    const, d, lam + n_val - r, F(nu + d - m_val - 2 * n_val + r), 2 * n_val - d - r, n_val + m_val - r)
+    else:
+        for d in range(n_val + 1):
+            for r in range(d + 1):
+                const = F(2) ** (d - 2 * r) * sign_pow(d) * const_b(2 * n_val - d, r, p)
+                out = out + _literal_term_reference(
+                    const, d, lam + n_val - r, F(nu - d + m_val + r), n_val - m_val - r, d - r)
+        for d in range(n_val + 1, 2 * n_val + 1):
+            for r in range(2 * n_val - d + 1):
+                const = F(2) ** (2 * n_val - d + 2 * nu - 2 * r - 2) * sign_pow(d) * const_a(2 * n_val - d, r, p)
+                out = out + _literal_term_reference(
+                    const, d, lam + n_val - r, F(2 - nu + d - 2 * n_val + m_val + r),
+                    -m_val + 2 * n_val - d + nu - r - 1, n_val + nu - r - 1)
+    return out
+
+
+def test_paper_emission_matches_the_per_summand_reference():
+    checked = 0
+    for p in _classified_points(2, 3, 3):
+        for q in (p, p.mirrored()):
+            emitted = emit_operator(q, "paper")
+            assert not emitted.is_zero() and emitted == _emit_literal_reference(q), q
+            checked += 1
+    assert checked > 200
 
 
 def test_read_off_rejects_the_mirrored_orientation_and_odd_parity():

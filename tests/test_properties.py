@@ -1,7 +1,8 @@
 """Property tests: GaussianRational against a pair-of-Fractions model, the
 existence predicate against the nullspace over random parameter points of
 both signs of m, the two operator emissions against each other at random
-classified points, and the canonical read-off against the symbol route.
+classified points, the canonical read-off against the symbol route, and the
+rising factorials against a Fraction loop.
 
 Opt-in: the module is skipped when hypothesis is not installed.
 """
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from breakops.closedform import classify, dual_solution, lambda_set  # noqa: E402
 from breakops.fsystem import SystemParams, solve_xi  # noqa: E402
@@ -21,7 +22,7 @@ from breakops.operator import (  # noqa: E402
     symbol_psi,
     symbol_to_operator,
 )
-from breakops.rational import GaussianRational  # noqa: E402
+from breakops.rational import GaussianRational, PoleError, gamma_ratio, pochhammer  # noqa: E402
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 reals = st.one_of(st.integers(-50, 50), fractions)
@@ -74,6 +75,32 @@ def test_gaussian_mixed_with_reals_matches_pair_model(x, r):
         assert parts(r / u) == model_div((Fraction(r), Fraction(0)), x)
     assert (u == r) == (x == (r, 0)) == (r == u)
     assert (GaussianRational(r) == r) and hash(GaussianRational(r)) == hash(r)
+
+
+def fraction_loop_pochhammer(x, n):
+    out = Fraction(1)
+    for i in range(n):
+        out *= Fraction(x) + i
+    return out
+
+
+@given(reals, st.integers(0, 8))
+def test_pochhammer_is_a_fraction_matching_a_fraction_loop(x, n):
+    got = pochhammer(x, n)
+    assert type(got) is Fraction and got == fraction_loop_pochhammer(x, n)
+
+
+@example(1, -2)
+@example(Fraction(1), -2)
+@given(reals, st.integers(-8, 8))
+def test_gamma_ratio_is_a_fraction_or_a_pole(x, p):
+    if p < 0 and fraction_loop_pochhammer(Fraction(x) + p, -p) == 0:
+        with pytest.raises(PoleError):
+            gamma_ratio(x, p)
+        return
+    expected = fraction_loop_pochhammer(x, p) if p >= 0 else 1 / fraction_loop_pochhammer(Fraction(x) + p, -p)
+    got = gamma_ratio(x, p)
+    assert type(got) is Fraction and got == expected
 
 
 @st.composite

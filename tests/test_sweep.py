@@ -1,9 +1,10 @@
 """Sweep harness: task grid, certificate content, ordering, summary."""
 
+import hashlib
 import logging
 from fractions import Fraction as F
 
-from breakops import fsystem, operator
+from breakops import cli, fsystem, operator
 from breakops.sweep import Certificate, SweepConfig, SweepTask, build_tasks, evaluate_task, run_sweep
 
 
@@ -121,3 +122,13 @@ def test_parallel_matches_serial():
     )
     assert summary_serial == summary_parallel
     assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
+
+
+def test_desk_sweep_document_matches_its_recorded_digest(tmp_path):
+    """The N <= 2 desk sweep writes the same bytes as when the digest was recorded."""
+    out = tmp_path / "desk.json"
+    argv = ["sweep", "--max-N", "2", "--m-span", "1", "--a-extra", "1", "--jobs", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    data = out.read_bytes()
+    assert len(data) == 162527
+    assert hashlib.sha256(data).hexdigest() == "bcb6c03e6d6b18ce84b86c3c880cb17fa66c08f6f536ca885126d21e5e34fc25"
