@@ -2,7 +2,7 @@
 operators between principal-series function spaces in the |m| > N regime.
 
 Everything is computed over Q(i): the equation system is solved by
-fraction-free elimination, the closed-form generator is assembled from
+sparse integer elimination, the closed-form generator is assembled from
 renormalized Gegenbauer polynomials, and the emitted operator is checked
 along two independent routes.
 """

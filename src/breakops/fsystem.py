@@ -15,8 +15,11 @@ f_j := g_(m-j) for j = -N..N, the tuple must satisfy the 4N+2 equations
 with S the imaginary Gegenbauer operator and theta the Euler operator.
 Expanding every equation into monomial coefficients turns the system into an
 exact rational matrix acting on the coefficient vector; its nullspace is
-computed by fraction-free (Bareiss) elimination with a deterministic pivot
-rule, so output is reproducible byte for byte.
+computed by sparse elimination on integer rows.  The basis returned is the
+unique one for the column order (a column is free when it does not lie in the
+span of the columns before it; each free column gives the kernel vector that
+is 1 there and 0 at the other free columns, first nonzero entry scaled to 1),
+so it does not depend on the pivot rows and is reproducible byte for byte.
 
 Unknown ordering is fixed as: blocks in ascending k, degrees descending
 inside each block.  Row ordering is fixed as: equations A^+ (j ascending),
@@ -303,76 +306,76 @@ def assemble_system(params: SystemParams) -> ExactMatrix:
 
 
 def nullspace(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """Rational kernel basis via fraction-free Gaussian elimination.
+    """Rational kernel basis via sparse integer elimination in column order.
 
-    Pivots are chosen as the first nonzero entry in column order (rows are
-    scanned top to bottom), and each basis vector is scaled so its first
-    nonzero entry equals 1.  The basis is ordered by ascending free column.
+    The basis is the unique one for the column order: a column is free when
+    it does not lie in the span of the columns before it, and each free
+    column contributes the one kernel vector that is 1 there and 0 at the
+    other free columns, scaled so its first nonzero entry equals 1.  The
+    basis is ordered by ascending free column.  Neither depends on which row
+    is picked as a pivot, so the output is reproducible byte for byte.
     """
     ncols = matrix.ncols
-    work: list[list[int]] = []
+    # each row as {column: integer}, a positive multiple of its source row;
+    # zero rows are dropped, so a vector is checked against the matrix on these.
+    # Elimination builds new rows and never changes these in place.
+    integer_rows: list[dict[int, int]] = []
     for row in matrix.rows:
-        if not any(row):
-            continue
-        scale = lcm(*[x.denominator for x in row])  # from a generator, peak RSS grew every sweep
-        work.append([x.numerator * (scale // x.denominator) for x in row])
-    # each kept integer row is a positive multiple of its source row, and dropped
-    # rows are zero, so a vector is checked against the matrix on these rows
-    integer_rows = [row[:] for row in work]
+        cells = {c: x for c, x in enumerate(row) if x}
+        if cells:
+            scale = lcm(*[x.denominator for x in cells.values()])
+            integer_rows.append({c: x.numerator * (scale // x.denominator) for c, x in cells.items()})
 
-    pivots: list[tuple[int, int]] = []  # (row, col) in echelon order
-    prev = 1
-    pivot_row = 0
+    # pending[c]: rows not yet used as a pivot whose first nonzero column is c
+    pending: list[list[dict[int, int]]] = [[] for _ in range(ncols)]
+    for row in integer_rows:
+        pending[min(row)].append(row)
+    pivots: list[tuple[dict[int, int], int]] = []  # (row, col) in echelon order
     for col in range(ncols):
-        found = None
-        for r in range(pivot_row, len(work)):
-            if work[r][col] != 0:
-                found = r
-                break
-        if found is None:
+        candidates = pending[col]
+        if not candidates:
             continue
-        if found != pivot_row:
-            work[pivot_row], work[found] = work[found], work[pivot_row]
-        lead = work[pivot_row][col]
-        for r in range(pivot_row + 1, len(work)):
-            entry = work[r][col]
-            row_r = work[r]
-            row_p = work[pivot_row]
-            for c in range(col, ncols):
-                numerator = lead * row_r[c] - entry * row_p[c]
-                quotient, remainder = divmod(numerator, prev)
-                if remainder:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row_r[c] = quotient
-        pivots.append((pivot_row, col))
-        prev = lead
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
+        pivot = min(candidates, key=len)
+        lead = pivot[col]
+        for row in candidates:
+            if row is pivot:
+                continue
+            entry = row[col]
+            g = gcd(lead, entry)
+            r_scale, p_scale = lead // g, entry // g
+            combined = {c: r_scale * x for c, x in row.items()}
+            for c, x in pivot.items():
+                combined[c] = combined.get(c, 0) - p_scale * x
+            combined = {c: x for c, x in combined.items() if x}
+            if combined:
+                content = gcd(*combined.values())
+                if content != 1:
+                    combined = {c: x // content for c, x in combined.items()}
+                pending[min(combined)].append(combined)
+        pending[col] = []
+        pivots.append((pivot, col))
 
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    pivot_cols = {c for _, c in pivots}
     zero = Fraction(0)
     basis: list[tuple[Fraction, ...]] = []
-    for free in free_cols:
+    for free in (c for c in range(ncols) if c not in pivot_cols):
         # back-substitute in integers: vec stays an integer multiple of the kernel vector
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, c in reversed(pivots):
+        vec = {free: 1}
+        for row, c in reversed(pivots):
             if c > free:
                 continue
-            row = work[r]
-            acc = sum(row[cc] * vec[cc] for cc in range(c + 1, ncols) if vec[cc])
+            acc = sum(x * vec[cc] for cc, x in row.items() if cc in vec)
+            if not acc:
+                continue
             lead = row[c]
-            common = gcd(acc, lead) if lead > 0 else -gcd(acc, lead)
+            common = gcd(acc, lead)
             if (scale := lead // common) != 1:
-                vec = [x * scale for x in vec]
+                vec = {cc: x * scale for cc, x in vec.items()}
             vec[c] = -acc // common
-        support = [(c, x) for c, x in enumerate(vec) if x]
-        if any(sum(row[c] * x for c, x in support) for row in integer_rows):
+        if any(sum(x * vec[c] for c, x in row.items() if c in vec) for row in integer_rows):
             raise ArithmeticError("kernel vector fails verification against the matrix")
-        first = support[0][1]
-        basis.append(tuple(Fraction(x, first) if x else zero for x in vec))
+        first = vec[min(vec)]
+        basis.append(tuple(Fraction(vec[c], first) if c in vec else zero for c in range(ncols)))
     return basis
 
 

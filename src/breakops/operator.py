@@ -32,12 +32,13 @@ pinned to a closed form.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .closedform import classify, const_a, const_b
 from .fsystem import NoSolutionError, SolutionVector, SystemParams, UnsupportedRegimeError, solve_xi
 from .gegenbauer import gegenbauer_coeffs
 from .poly import MultiPoly, TermMap, VectorSymbol, inflate
-from .rational import GR_ZERO, GaussianRational, binomial, i_power, is_integer, narrow, proportional_scalar, sign_pow
+from .rational import GaussianRational, binomial, i_power, is_integer, narrow, proportional_scalar, sign_pow
 
 TermKey = tuple[int, int, int, int]  # (component d, dz power, dzbar power, dx3 power)
 
@@ -137,17 +138,31 @@ def symbol_to_operator(psi: VectorSymbol) -> DiffOperator:
     wbar = zeta1 - i zeta2; the monomial w^al wbar^be zeta3^s maps to
     2^(al+be) dz^be dzbar^al dx3^s.  Expanding zeta1 = (w+wbar)/2 and
     zeta2 = -i(w-wbar)/2 makes the powers of 2 cancel exactly, leaving
-    binomial weights and fourth roots of unity.
+    binomial weights and fourth roots of unity.  The expansion accumulates
+    in integers: each component's coefficients are written over the lcm of
+    their denominators, and a Fraction is built once per operator term.
     """
     terms: dict[TermKey, GaussianRational] = {}
     for d, component in enumerate(psi.components):
-        for (e1, e2, e3), coeff in component.terms.items():
-            base = coeff * i_power(-e2)
+        coeffs = component.terms
+        common = lcm(*[part.denominator for c in coeffs.values() for part in (c.re, c.im)])
+        sums: dict[TermKey, tuple[int, int]] = {}
+        for (e1, e2, e3), coeff in coeffs.items():
+            re = coeff.re.numerator * (common // coeff.re.denominator)
+            im = coeff.im.numerator * (common // coeff.im.denominator)
+            for _ in range(-e2 % 4):  # times i^(-e2), one quarter turn at a time
+                re, im = -im, re
+            row2 = [sign_pow(e2 - j) * binomial(e2, j) for j in range(e2 + 1)]
             for i in range(e1 + 1):
-                for j in range(e2 + 1):
+                weight1 = binomial(e1, i)
+                for j, weight2 in enumerate(row2):
+                    w = weight1 * weight2
                     key = (d, (e1 - i) + (e2 - j), i + j, e3)
-                    value = base * (sign_pow(e2 - j) * binomial(e1, i) * binomial(e2, j))
-                    terms[key] = terms.get(key, GR_ZERO) + value
+                    sum_re, sum_im = sums.get(key, (0, 0))
+                    sums[key] = (sum_re + w * re, sum_im + w * im)
+        for key, (re, im) in sums.items():
+            if re or im:
+                terms[key] = GaussianRational(Fraction(re, common), Fraction(im, common))
     return DiffOperator(terms)
 
 

@@ -215,7 +215,7 @@ def test_nullspace_on_assembled_systems_against_plain_elimination():
 
 
 def _nullspace_reference(matrix):
-    """The same elimination, with Fraction products for the row scaling and for the verification."""
+    """Dense fraction-free (Bareiss) elimination, first nonzero row as pivot, back-substituted in Fractions."""
     ncols = matrix.ncols
     work = []
     for row in matrix.rows:
@@ -287,3 +287,55 @@ def test_nullspace_matches_reference_with_mixed_denominators():
         matrix = ExactMatrix(rows, len(rows[0]))
         basis = nullspace(matrix)
         assert basis and basis == _nullspace_reference(matrix)
+
+
+def _planted_sparse_matrix(rng, nrows, ncols):
+    """A sparse rational matrix in which at least two columns are combinations of earlier ones.
+
+    Fresh columns hold a few random entries with mixed denominators; a planted
+    column is a rational combination of one or two earlier columns, or zero.
+    Each planted column adds one to the kernel dimension.
+    """
+    planted = set(rng.sample(range(1, ncols), 2))
+    planted |= {c for c in range(1, ncols) if rng.random() < 0.3}
+    columns = []
+    for c in range(ncols):
+        if c in planted:
+            column = [F(0)] * nrows
+            for source in rng.sample(range(c), min(c, rng.randint(0, 2))):
+                factor = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                column = [x + factor * y for x, y in zip(column, columns[source])]
+        else:
+            column = [F(0)] * nrows
+            for r in rng.sample(range(nrows), rng.randint(1, min(3, nrows))):
+                column[r] = F(rng.choice([-7, -2, -1, 1, 3, 4]), rng.randint(1, 6))
+        columns.append(column)
+    return [tuple(col[r] for col in columns) for r in range(nrows)], len(planted)
+
+
+def test_nullspace_matches_reference_where_the_pivot_row_matters():
+    import random
+
+    rng = random.Random(15)
+    dimensions = set()
+    for trial in range(60):
+        nrows, ncols = rng.randint(2, 9), rng.randint(4, 10)
+        rows, planted = _planted_sparse_matrix(rng, nrows, ncols)
+        basis = nullspace(ExactMatrix(tuple(rows), ncols))
+        assert len(basis) >= planted >= 2
+        assert basis == _nullspace_reference(ExactMatrix(tuple(rows), ncols)), trial
+        for _ in range(3):
+            rng.shuffle(rows)
+            permuted = ExactMatrix(tuple(rows), ncols)
+            assert nullspace(permuted) == basis == _nullspace_reference(permuted), trial
+        dimensions.add(len(basis))
+    assert len(dimensions) >= 4
+
+
+def test_nullspace_matches_reference_on_deep_and_paper_scale_matrices():
+    # the three deep-points systems (N, m, a, lambda), then the 346 x 94 paper-scale one
+    for n_val, m_val, a, lam in [(4, 5, 12, -11), (5, 6, 12, -10), (6, 7, 14, -7), (6, 7, 20, -25)]:
+        matrix = assemble_system(SystemParams(F(lam), F(lam + a), n_val, m_val))
+        basis = nullspace(matrix)
+        assert len(basis) == 1 and basis == _nullspace_reference(matrix), (n_val, m_val, a, lam)
+    assert (matrix.nrows, matrix.ncols) == (346, 94)

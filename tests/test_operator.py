@@ -20,7 +20,7 @@ from breakops.operator import (
 )
 from breakops.gegenbauer import gegenbauer
 from breakops.poly import MultiPoly, Poly, VectorSymbol
-from breakops.rational import GaussianRational, sign_pow
+from breakops.rational import GR_ZERO, GaussianRational, binomial, i_power, sign_pow
 from breakops.sweep import SweepConfig, run_sweep
 from breakops.verify import legacy_order_one_operator
 
@@ -156,6 +156,33 @@ def test_read_off_and_mirror_match_the_symbol_route():
         assert mirror_operator(canonical, p.N) == symbol_to_operator(dual_solution(psi, p)), p
         checked += 1
     assert checked > 100
+
+
+def _symbol_to_operator_reference(psi):
+    """The pull-back summed one GaussianRational binomial term at a time."""
+    terms = {}
+    for d, component in enumerate(psi.components):
+        for (e1, e2, e3), coeff in component.terms.items():
+            base = coeff * i_power(-e2)
+            for i in range(e1 + 1):
+                for j in range(e2 + 1):
+                    key = (d, (e1 - i) + (e2 - j), i + j, e3)
+                    value = base * (sign_pow(e2 - j) * binomial(e1, i) * binomial(e2, j))
+                    terms[key] = terms.get(key, GR_ZERO) + value
+    return DiffOperator(terms)
+
+
+def test_symbol_to_operator_matches_the_term_by_term_reference():
+    checked = 0
+    for p in _classified_points(2, 3, 3):
+        psi = symbol_psi(p, solve_xi(p).generator)
+        for symbol in (psi, dual_solution(psi, p)):
+            # the term order too: compare_up_to_scalar divides at the first term
+            assert list(symbol_to_operator(symbol).terms.items()) == list(
+                _symbol_to_operator_reference(symbol).terms.items()
+            ), p
+            checked += 1
+    assert checked > 200
 
 
 def _literal_term_reference(const, d, block_lam, block_nu, dz, dzbar):

@@ -1,8 +1,9 @@
 """Property tests: GaussianRational against a pair-of-Fractions model, the
 existence predicate against the nullspace over random parameter points of
 both signs of m, the two operator emissions against each other at random
-classified points, the canonical read-off against the symbol route, and the
-rising factorials against a Fraction loop.
+classified points, the canonical read-off against the symbol route, the
+symbol pull-back against its term-by-term reference on random symbols, and
+the rising factorials against a Fraction loop.
 
 Opt-in: the module is skipped when hypothesis is not installed.
 """
@@ -22,7 +23,9 @@ from breakops.operator import (  # noqa: E402
     symbol_psi,
     symbol_to_operator,
 )
+from breakops.poly import MultiPoly, VectorSymbol  # noqa: E402
 from breakops.rational import GaussianRational, PoleError, gamma_ratio, pochhammer  # noqa: E402
+from test_operator import _symbol_to_operator_reference  # noqa: E402
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 reals = st.one_of(st.integers(-50, 50), fractions)
@@ -159,3 +162,21 @@ def test_canonical_read_off_matches_the_symbol_route(params):
     if params.m < 0:
         psi = dual_solution(psi, oriented)
     assert emit_operator(params, "canonical") == symbol_to_operator(psi)
+
+
+# e2 runs over every residue mod 4, so every power of i in the pull-back is met;
+# an empty dictionary is an empty component
+symbol_components = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 7), st.integers(0, 3)),
+    st.builds(GaussianRational, fractions, fractions),
+    max_size=6,
+).map(MultiPoly)
+
+
+@example(VectorSymbol((MultiPoly(), MultiPoly({(1, 3, 0): GaussianRational(Fraction(1, 2), Fraction(-2, 3))}))))
+@example(VectorSymbol(tuple(MultiPoly({(2, e2, 1): GaussianRational(Fraction(e2 + 1, 6), Fraction(-1, 4))})
+                            for e2 in range(4))))
+@given(st.lists(symbol_components, min_size=1, max_size=4).map(lambda cs: VectorSymbol(tuple(cs))))
+def test_symbol_to_operator_matches_the_term_by_term_reference(psi):
+    got = symbol_to_operator(psi)
+    assert list(got.terms.items()) == list(_symbol_to_operator_reference(psi).terms.items())
