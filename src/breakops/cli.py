@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import closedform, fsystem, operator, sweep, verify
-from .fsystem import NoSolutionError, UnsupportedRegimeError
+from .fsystem import NoSolutionError
 
 EXIT_OK = 0
 EXIT_BAD_PARAMS = 2
@@ -33,8 +33,11 @@ def _dump(document) -> str:
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -238,19 +241,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-    except UnsupportedRegimeError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        return args.func(args)
     except NoSolutionError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_EMPTY
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        error, code = str(exc), EXIT_EMPTY
+    except ValueError as exc:  # UnsupportedRegimeError and unwritable --out paths included
+        error, code = str(exc), EXIT_BAD_PARAMS
     except ArithmeticError as exc:  # PoleError included: an internal cross-check failed
-        print(json.dumps({"error": f"internal check failed: {exc}"}), file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        error, code = f"internal check failed: {exc}", EXIT_CHECK_FAILED
+    print(json.dumps({"error": error}), file=sys.stderr)
     return code
 
 

@@ -13,13 +13,13 @@ f_j := g_(m-j) for j = -N..N, the tuple must satisfy the 4N+2 equations
                  - (N+j) f_(-j+1)' - (N-j) f_(-j-1)'        = 0     j = 1..N
 
 with S the imaginary Gegenbauer operator and theta the Euler operator.
-Expanding every equation into monomial coefficients turns the system into an
-exact rational matrix acting on the coefficient vector; its nullspace is
-computed by sparse elimination on integer rows.  The basis returned is the
-unique one for the column order (a column is free when it does not lie in the
-span of the columns before it; each free column gives the kernel vector that
-is 1 there and 0 at the other free columns, first nonzero entry scaled to 1),
-so it does not depend on the pivot rows and is reproducible byte for byte.
+Expanding every equation into monomial coefficients turns the system into
+sparse rational rows acting on the coefficient vector; their nullspace comes
+from sparse elimination on integer rows.  The basis returned is the unique
+one for the column order (a column is free when it does not lie in the span
+of the columns before it; each free column gives the kernel vector that is 1
+there and 0 at the other free columns, first nonzero entry scaled to 1), so
+it does not depend on the pivot rows and is reproducible byte for byte.
 
 Unknown ordering is fixed as: blocks in ascending k, degrees descending
 inside each block.  Row ordering is fixed as: equations A^+ (j ascending),
@@ -262,14 +262,18 @@ def unknown_columns(params: SystemParams) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense rational matrix with explicit shape."""
+    """Sparse rational matrix: one {column: nonzero int or Fraction} dict per row."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    cells: tuple[dict[int, Fraction | int], ...]  # an all-zero row is {} and counts in nrows
     ncols: int
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.cells)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:  # dense view, for JSON and tests
+        return tuple(tuple(Fraction(row.get(c, 0)) for c in range(self.ncols)) for row in self.cells)
 
     def to_json(self) -> dict:
         return {
@@ -290,19 +294,16 @@ def assemble_system(params: SystemParams) -> ExactMatrix:
     if params.m <= params.N:
         raise UnsupportedRegimeError("direct assembly requires m > N")
     columns = unknown_columns(params)  # raises unless nu - lambda is a natural number
-    zero = Fraction(0)
-    rows: list[tuple[Fraction, ...]] = []
+    cells: list[dict[int, Fraction | int]] = []
     for kind, sign, j in equation_index(params.N):
-        cells: dict[tuple[int, int], Fraction] = {}
+        by_degree: dict[int, dict[int, Fraction | int]] = {}
         terms = dict(equation_weights(kind, sign, j, params))
         for col, (k, degree) in enumerate(columns):
             for shift, weight in terms.get(params.m - k, ()):
                 if w := weight(degree):
-                    cells[degree + shift, col] = Fraction(w)
-        top = max((d for d, _ in cells), default=-1) + 1
-        # tuple of a list: tuples built from generators kept memory alive across sweeps
-        rows += [tuple([cells.get((d, col), zero) for col in range(len(columns))]) for d in range(top)]
-    return ExactMatrix(tuple(rows), len(columns))
+                    by_degree.setdefault(degree + shift, {})[col] = w
+        cells += [by_degree.get(d, {}) for d in range(max(by_degree, default=-1) + 1)]
+    return ExactMatrix(tuple(cells), len(columns))
 
 
 def nullspace(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
@@ -320,8 +321,7 @@ def nullspace(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
     # zero rows are dropped, so a vector is checked against the matrix on these.
     # Elimination builds new rows and never changes these in place.
     integer_rows: list[dict[int, int]] = []
-    for row in matrix.rows:
-        cells = {c: x for c, x in enumerate(row) if x}
+    for cells in matrix.cells:
         if cells:
             scale = lcm(*[x.denominator for x in cells.values()])
             integer_rows.append({c: x.numerator * (scale // x.denominator) for c, x in cells.items()})

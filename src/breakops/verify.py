@@ -176,8 +176,8 @@ def gegenbauer_suite(max_ell: int = 12, mu_values=None, max_d: int = 4) -> list[
     def unique_kernel(ell, mu):
         basis = even_basis(ell)
         images = [apply_gegenbauer(ell, mu, f) for f in basis]
-        rows = tuple(tuple(p.coefficient(deg).re for p in images) for deg in range(ell + 1))
-        kernel = fsystem.nullspace(fsystem.ExactMatrix(rows, len(basis)))
+        cells = tuple({c: x for c, p in enumerate(images) if (x := p.coefficient(d).re)} for d in range(ell + 1))
+        kernel = fsystem.nullspace(fsystem.ExactMatrix(cells, len(basis)))
         if len(kernel) != 1:
             return False
         line = {f.degree: c for f, c in zip(basis, kernel[0])}

@@ -312,3 +312,22 @@ def test_internal_check_errors_exit_4(tmp_path, capsys, monkeypatch, module, sta
     assert code == 4
     assert out == "" and not out_file.exists()
     assert "cross-check failed" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", *POINT),
+        ("solve", *POINT),
+        ("operator", *POINT),
+        ("sweep", "--max-N", "0", "--m-span", "1", "--a-extra", "0"),
+        ("verify", "--suite", "gegenbauer", "--max-ell", "1", "--quick"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    out_file = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert str(out_file) in json.loads(err)["error"]

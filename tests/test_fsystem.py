@@ -25,6 +25,11 @@ from breakops.poly import Poly, ZERO_POLY, monomial
 from breakops.sweep import SweepConfig, build_tasks
 
 
+def dense_matrix(rows, ncols):
+    """An ExactMatrix from dense rows, their zero entries dropped."""
+    return ExactMatrix(tuple({c: x for c, x in enumerate(row) if x} for row in rows), ncols)
+
+
 def test_params_reject_small_m():
     with pytest.raises(UnsupportedRegimeError):
         SystemParams(F(0), F(0), 2, 1)
@@ -94,19 +99,19 @@ def test_assemble_requires_natural_a():
 
 
 def test_nullspace_identity_and_zero():
-    assert nullspace(ExactMatrix(((F(1), F(0)), (F(0), F(1))), 2)) == []
-    assert len(nullspace(ExactMatrix(((F(0),) * 3, (F(0),) * 3), 3))) == 3
+    assert nullspace(dense_matrix(((F(1), F(0)), (F(0), F(1))), 2)) == []
+    assert len(nullspace(dense_matrix(((F(0),) * 3, (F(0),) * 3), 3))) == 3
 
 
 def test_nullspace_normalization():
     # elimination by hand gives span{(-1, 1, 0)}; normalized so the first
     # nonzero entry is 1 this is (1, -1, 0)
-    basis = nullspace(ExactMatrix(((F(1), F(1), F(0)), (F(0), F(0), F(1))), 3))
+    basis = nullspace(dense_matrix(((F(1), F(1), F(0)), (F(0), F(0), F(1))), 3))
     assert basis == [(F(1), F(-1), F(0))]
 
 
 def test_nullspace_rational_entries():
-    mat = ExactMatrix(((F(1, 2), F(1, 3), F(0)), (F(0), F(2, 7), F(2, 7))), 3)
+    mat = dense_matrix(((F(1, 2), F(1, 3), F(0)), (F(0), F(2, 7), F(2, 7))), 3)
     (vec,) = nullspace(mat)
     for row in mat.rows:
         assert sum(c * v for c, v in zip(row, vec)) == 0
@@ -199,7 +204,7 @@ def test_nullspace_against_plain_elimination():
             tuple(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(ncols))
             for _ in range(nrows)
         )
-        mat = ExactMatrix(rows, ncols)
+        mat = dense_matrix(rows, ncols)
         basis = nullspace(mat)
         assert len(basis) == _kernel_dimension_by_plain_elimination(rows, ncols)
         for vec in basis:
@@ -282,9 +287,18 @@ def test_nullspace_matches_reference_with_mixed_denominators():
             (F(0), F(1, 11), F(0), F(8, 3)),
         ),
         ((F(2, 3), F(-4, 3)), (F(-1, 5), F(2, 5))),
+        # int cells next to Fraction cells, empty rows at the top, in the middle and at the bottom
+        (
+            (0, 0, 0, 0),
+            (3, F(1, 2), 0, -2),
+            (0, 0, 0, 0),
+            (F(-2, 3), 4, 6, 0),
+            (1, 0, F(5, 4), 7),
+            (0, 0, 0, 0),
+        ),
     ]
     for rows in matrices:
-        matrix = ExactMatrix(rows, len(rows[0]))
+        matrix = dense_matrix(rows, len(rows[0]))
         basis = nullspace(matrix)
         assert basis and basis == _nullspace_reference(matrix)
 
@@ -321,12 +335,12 @@ def test_nullspace_matches_reference_where_the_pivot_row_matters():
     for trial in range(60):
         nrows, ncols = rng.randint(2, 9), rng.randint(4, 10)
         rows, planted = _planted_sparse_matrix(rng, nrows, ncols)
-        basis = nullspace(ExactMatrix(tuple(rows), ncols))
+        basis = nullspace(dense_matrix(rows, ncols))
         assert len(basis) >= planted >= 2
-        assert basis == _nullspace_reference(ExactMatrix(tuple(rows), ncols)), trial
+        assert basis == _nullspace_reference(dense_matrix(rows, ncols)), trial
         for _ in range(3):
             rng.shuffle(rows)
-            permuted = ExactMatrix(tuple(rows), ncols)
+            permuted = dense_matrix(rows, ncols)
             assert nullspace(permuted) == basis == _nullspace_reference(permuted), trial
         dimensions.add(len(basis))
     assert len(dimensions) >= 4

@@ -10,7 +10,6 @@ import random
 from fractions import Fraction as F
 
 from breakops.fsystem import (
-    ExactMatrix,
     SolutionVector,
     SystemParams,
     apply_L,
@@ -21,6 +20,7 @@ from breakops.fsystem import (
 from breakops.gegenbauer import apply_gegenbauer, apply_imaginary_gegenbauer
 from breakops.poly import Poly, ZERO_POLY, differentiate, euler_apply, monomial
 from breakops.rational import GaussianRational
+from test_fsystem import dense_matrix
 
 MUS = [F(0), F(1), F(-3), F(1, 2), F(-7, 3), F(5, 4)]
 
@@ -76,7 +76,7 @@ def assemble_oracle(params):
                 assert c.is_real()
                 row.append(c.re)
             rows.append(tuple(row))
-    return ExactMatrix(tuple(rows), len(columns))
+    return dense_matrix(rows, len(columns))
 
 
 def _random_poly(rng, degree):
@@ -119,5 +119,8 @@ def test_apply_L_matches_oracle():
 def test_assemble_system_matches_oracle():
     for params in _small_grid():
         matrix = assemble_system(params)
-        assert matrix == assemble_oracle(params), params
+        oracle = assemble_oracle(params)
+        assert matrix == oracle, params
+        assert (matrix.nrows, matrix.ncols) == (oracle.nrows, oracle.ncols), params
+        assert matrix.to_json() == oracle.to_json(), params
         assert all(type(x) is F for row in matrix.rows for x in row)
