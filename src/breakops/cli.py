@@ -14,8 +14,10 @@ rationals should be passed in the --flag=value form, e.g. --lambda=-7/3.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 
 from . import closedform, fsystem, operator, sweep, verify
@@ -138,9 +140,14 @@ def cmd_operator(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    if args.out and args.out != "-":  # checked before the grid is computed
+        directory = os.path.dirname(args.out) or "."
+        if not os.access(directory, os.W_OK):
+            reason = os.strerror(errno.EACCES if os.path.isdir(directory) else errno.ENOENT)
+            raise ValueError(f"cannot write --out {args.out}: {reason}")
     config = sweep.SweepConfig(
-        n_values=tuple(range(args.max_n + 1)),
-        m_offsets=tuple(range(1, args.m_span + 1)),
+        max_n=args.max_n,
+        m_span=args.m_span,
         a_extra=args.a_extra,
         include_negative_m=not args.positive_only,
         operator_max_n=args.operator_max_n,

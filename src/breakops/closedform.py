@@ -64,7 +64,6 @@ from .rational import (
     gamma_ratio,
     i_power,
     is_integer,
-    narrow,
     pochhammer,
     sign_pow,
 )
@@ -145,28 +144,28 @@ def _check_dr(d: int, r: int, N: int) -> None:
 def const_a(d: int, r: int, params: SystemParams) -> Fraction:
     """A(d, r); may hit a genuine gamma pole away from classified parameters."""
     _check_dr(d, r, params.N)
-    N, lam, nu = params.N, narrow(params.lam), narrow(params.nu)
+    N, lam, nu = params.N, params.lam, params.nu
     if not is_integer(nu):
         raise ValueError("the constants require an integer nu (the sign (-1)^(nu-1))")
     mm = params.abs_m
     a = nu - lam
     base = lam + (a - mm + N - d - 1) // 2
     offset = (-nu - lam - mm + N - d + 1) // 2 - (a - mm + N - d - 1) // 2
-    out = sign_pow(int(nu - 1)) * _gamma_dr(d, r, params)
+    out = sign_pow(nu - 1) * _gamma_dr(d, r, params)
     return out * gamma_ratio(base, offset) * pochhammer(N + nu - r, r)
 
 
 def const_b(d: int, r: int, params: SystemParams) -> Fraction:
     """B(d, r)."""
     _check_dr(d, r, params.N)
-    N, nu = params.N, narrow(params.nu)
+    N, nu = params.N, params.nu
     if not is_integer(nu):
         raise ValueError("the constants require an integer nu (the sign (-1)^(nu-1))")
     return sign_pow(d - N) * _gamma_dr(2 * N - d, r, params) * pochhammer(N - nu + 2 - r, r)
 
 
 def _gamma_dr(d: int, r: int, params: SystemParams) -> Fraction:
-    N, lam, nu = params.N, narrow(params.lam), narrow(params.nu)
+    N, lam, nu = params.N, params.lam, params.nu
     mm = params.abs_m
     a = nu - lam
     base = lam + (a - mm - 1) // 2
@@ -216,7 +215,7 @@ def closed_solution(params: SystemParams) -> SolutionVector:
     outcome = classify(params.lam, params.nu, N, m)
     if outcome.dimension == 0:
         raise NoSolutionError("solution space is zero at these parameters")
-    lam, nu = narrow(params.lam), narrow(params.nu)  # both integers once classified
+    lam, nu = params.lam, params.nu  # both ints once classified
     a = params.a
     sign_nu = sign_pow(nu - 1)
     entries = []

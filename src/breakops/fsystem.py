@@ -64,16 +64,17 @@ class SystemParams:
     spectral parameter lambda) and (m, nu) the scalar target family; those
     bundle-level objects are not modelled here, only their parameters.  The
     derived a = nu - lambda is the homogeneity degree of admissible symbols.
+    lambda and nu are stored as an int when integral, else as a Fraction.
     """
 
-    lam: Fraction
-    nu: Fraction
+    lam: Fraction | int
+    nu: Fraction | int
     N: int
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "nu", Fraction(self.nu))
+        object.__setattr__(self, "lam", narrow(Fraction(self.lam)))
+        object.__setattr__(self, "nu", narrow(Fraction(self.nu)))
         if self.N < 0:
             raise ValueError("N must be a natural number")
         if abs(self.m) <= self.N:
@@ -85,7 +86,7 @@ class SystemParams:
             lam = parse_rational(lam)
         if isinstance(nu, str):
             nu = parse_rational(nu)
-        return cls(Fraction(lam), Fraction(nu), int(N), int(m))
+        return cls(lam, nu, int(N), int(m))
 
     @cached_property
     def a(self) -> int | None:
@@ -187,10 +188,7 @@ def hom_dimension(params: SystemParams) -> int:
     a = params.a
     if a is None:
         return 0
-    support = k_support(params.N, params.m)
-    if a < min(support):
-        return 0
-    return sum(EvenSpace(a - k).dimension for k in support)
+    return sum(EvenSpace(a - k).dimension for k in k_support(params.N, params.m))
 
 
 def _derivative(scale) -> tuple:
@@ -203,7 +201,7 @@ def equation_weights(kind: str, sign: str, j: int, params: SystemParams) -> list
     The - equations are the + ones with s = -1 folded into the component
     indices, the degree of S, the sign of m and the derivative couplings.
     """
-    lam, m, N = narrow(params.lam), params.m, params.N
+    lam, m, N = params.lam, params.m, params.N
     a = params.a
     if a is None:
         raise ValueError("the equations require nu - lambda to be a natural number")
@@ -252,10 +250,7 @@ def unknown_columns(params: SystemParams) -> list[tuple[int, int]]:
         raise ValueError("no unknowns: nu - lambda is not a natural number")
     columns: list[tuple[int, int]] = []
     for k in k_support(params.N, params.m):
-        bound = a - k
-        if bound < 0:
-            continue
-        for degree in range(bound, -1, -2):
+        for degree in range(a - k, -1, -2):
             columns.append((k, degree))
     return columns
 

@@ -38,7 +38,7 @@ from .closedform import classify, const_a, const_b
 from .fsystem import NoSolutionError, SolutionVector, SystemParams, UnsupportedRegimeError, solve_xi
 from .gegenbauer import gegenbauer_coeffs
 from .poly import MultiPoly, TermMap, VectorSymbol, inflate
-from .rational import GaussianRational, binomial, i_power, is_integer, narrow, proportional_scalar, sign_pow
+from .rational import GaussianRational, binomial, i_power, is_integer, proportional_scalar, sign_pow
 
 TermKey = tuple[int, int, int, int]  # (component d, dz power, dzbar power, dx3 power)
 
@@ -222,7 +222,7 @@ def _emit_canonical(params: SystemParams) -> DiffOperator:
 
 def _emit_literal(params: SystemParams) -> DiffOperator:
     N, m = params.N, params.m
-    lam, nu = narrow(params.lam), int(params.nu)
+    lam, nu = params.lam, params.nu
     terms: dict[TermKey, Fraction] = {}
     if m > N:
         for d in range(N):

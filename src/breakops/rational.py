@@ -6,9 +6,11 @@ always reduced and keep a positive denominator, so they already satisfy the
 canonical-form invariants we need.  Inside a computation a value that is an
 integer stays a Python ``int`` until a real division happens, because int
 arithmetic builds no Fraction; ``narrow`` turns an integral Fraction back
-into an int.  Public results (``pochhammer``, ``gamma_ratio``, the structure
-constants, the dense matrix view) are still Fractions.  Numbers in Q(i) are
-``GaussianRational`` values with two Fraction parts.  ``GaussianRational.of``
+into an int, and ``SystemParams`` stores integral lambda and nu through it,
+so an integer parameter enters every computation as an int.  Public results
+(``pochhammer``, ``gamma_ratio``, the structure constants, the dense matrix
+view) are still Fractions.  Numbers in Q(i) are ``GaussianRational`` values
+with two Fraction parts.  ``GaussianRational.of``
 is the one place a scalar is coerced: a GaussianRational stays itself, an
 int or a Fraction becomes a real one, and anything else (a float, a string)
 is a TypeError.

@@ -18,7 +18,6 @@ are byte-identical across parallelism degrees.
 
 from __future__ import annotations
 
-import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,23 +25,22 @@ from fractions import Fraction
 
 from . import closedform, fsystem, operator
 
-log = logging.getLogger(__name__)
-
 # lambda runs from LAMBDA_PAD_LOW below 1-N-a, the least admissible value at
 # (N, a), to LAMBDA_PAD_HIGH above N+1-a, the greatest, so that dimension-0
 # points flank every admissible set
 LAMBDA_PAD_LOW = 3
 LAMBDA_PAD_HIGH = 2
+# non-integer lambda at every (N, m, a), where the space is always zero
+EXTRA_LAMBDAS = (Fraction(1, 2), Fraction(-7, 3))
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid description; the defaults reproduce the desk-scale certification."""
+    """The grid as ``breakops sweep`` takes it (N in 0..max_n, m in N+1..N+m_span); defaults are the desk grid."""
 
-    n_values: tuple[int, ...] = (0, 1, 2, 3)
-    m_offsets: tuple[int, ...] = (1, 2, 3, 4)
+    max_n: int = 3
+    m_span: int = 4
     a_extra: int = 4
-    extra_lambdas: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(-7, 3))
     include_negative_m: bool = True
     operator_max_n: int = 2
     jobs: int = 1
@@ -51,12 +49,12 @@ class SweepConfig:
         # jobs is a scheduling knob, not part of the grid; leaving it out
         # keeps output files byte-identical across parallelism degrees
         return {
-            "n_values": list(self.n_values),
-            "m_offsets": list(self.m_offsets),
+            "n_values": list(range(self.max_n + 1)),
+            "m_offsets": list(range(1, self.m_span + 1)),
             "a_extra": self.a_extra,
             "lambda_pad_low": LAMBDA_PAD_LOW,
             "lambda_pad_high": LAMBDA_PAD_HIGH,
-            "extra_lambdas": [str(x) for x in self.extra_lambdas],
+            "extra_lambdas": [str(x) for x in EXTRA_LAMBDAS],
             "include_negative_m": self.include_negative_m,
             "operator_max_n": self.operator_max_n,
         }
@@ -67,7 +65,7 @@ class SweepTask:
     N: int
     m: int  # positive orientation
     a: int
-    lam: Fraction
+    lam: Fraction | int
     include_negative: bool
     operator_max_n: int
 
@@ -119,18 +117,12 @@ class Certificate:
 
 def build_tasks(config: SweepConfig) -> list[SweepTask]:
     tasks = []
-    for n_val in sorted(config.n_values):
-        for offset in sorted(config.m_offsets):
-            m = n_val + offset
-            if m <= n_val:
-                log.warning("skipping m=%d at N=%d: outside the |m| > N regime", m, n_val)
-                continue
+    for n_val in range(config.max_n + 1):
+        for m in range(n_val + 1, n_val + config.m_span + 1):
             for a in range(m - n_val, m + n_val + config.a_extra + 1):
                 lows = 1 - n_val - a - LAMBDA_PAD_LOW
                 highs = n_val + 1 - a + LAMBDA_PAD_HIGH
-                lams = [Fraction(v) for v in range(lows, highs + 1)]
-                lams += list(config.extra_lambdas)
-                for lam in lams:
+                for lam in [*range(lows, highs + 1), *EXTRA_LAMBDAS]:
                     tasks.append(
                         SweepTask(n_val, m, a, lam, config.include_negative_m, config.operator_max_n)
                     )

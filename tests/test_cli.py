@@ -218,7 +218,7 @@ def test_sweep_jobs_clamped_without_starting_processes(tmp_path, capsys, monkeyp
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
     base = ["sweep", "--max-N", "0", "--m-span", "1", "--a-extra", "0"]
-    tasks = len(sweep.build_tasks(sweep.SweepConfig(n_values=(0,), m_offsets=(1,), a_extra=0)))
+    tasks = len(sweep.build_tasks(sweep.SweepConfig(max_n=0, m_span=1, a_extra=0)))
     assert main(base + ["--jobs", "1000000", "--out", str(tmp_path / "many.json")]) == 0
     assert seen == [min(3, tasks)]
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
@@ -325,9 +325,15 @@ def test_internal_check_errors_exit_4(tmp_path, capsys, monkeypatch, module, sta
     ],
     ids=lambda argv: argv[0],
 )
-def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
+    from breakops import sweep
+
+    def fail(*args, **kwargs):
+        pytest.fail("sweep computed its grid before checking --out")
+
+    monkeypatch.setattr(sweep, "run_sweep", fail)
     out_file = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
     assert code == 2
     assert out == "" and "Traceback" not in err
-    assert str(out_file) in json.loads(err)["error"]
+    assert json.loads(err)["error"] == f"cannot write --out {out_file}: No such file or directory"

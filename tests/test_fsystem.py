@@ -43,6 +43,15 @@ def test_derived_a():
     assert SystemParams(F(1, 2), F(7, 2), 1, 2).a == 3
     assert SystemParams(F(0), F(1, 2), 1, 2).a is None
     assert SystemParams(F(2), F(0), 1, 2).a is None  # negative difference
+    # lambda and nu are stored narrowed: int when integral, Fraction otherwise
+    integral = SystemParams(F(-1), F(2), 1, 2)
+    assert type(integral.lam) is int and type(integral.nu) is int
+    half = SystemParams(F(1, 2), F(7, 2), 1, 2)
+    assert type(half.lam) is F and type(half.nu) is F
+    same = [SystemParams(-1, 2, 1, 2), integral, SystemParams.of("-1", "2", 1, 2)]
+    assert all(p == integral and hash(p) == hash(integral) for p in same)
+    assert type(integral.mirrored().lam) is int and type(integral.mirrored().nu) is int
+    assert type(half.mirrored().lam) is F and type(half.mirrored().nu) is F
 
 
 def test_k_support():

@@ -265,7 +265,7 @@ def test_sweep_does_not_call_the_symbol_route(monkeypatch):
     monkeypatch.setattr(operator, "symbol_psi", fail)
     monkeypatch.setattr(operator, "symbol_to_operator", fail)
     monkeypatch.setattr(closedform, "dual_solution", fail)
-    _, summary = run_sweep(SweepConfig(n_values=(0, 1), m_offsets=(1,), a_extra=0))
+    _, summary = run_sweep(SweepConfig(max_n=1, m_span=1, a_extra=0))
     assert summary["dim1"] > 0 and summary["failures"] == 0
 
 

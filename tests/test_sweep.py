@@ -1,19 +1,14 @@
 """Sweep harness: task grid, certificate content, ordering, summary."""
 
+import dataclasses
 import hashlib
-import logging
 from fractions import Fraction as F
 
 from breakops import cli, fsystem, operator
 from breakops.sweep import Certificate, SweepConfig, SweepTask, build_tasks, evaluate_task, run_sweep
 
 
-SMALL = SweepConfig(
-    n_values=(0, 1),
-    m_offsets=(1, 2),
-    a_extra=1,
-    extra_lambdas=(F(1, 2),),
-)
+SMALL = SweepConfig(max_n=1, m_span=2, a_extra=1)
 
 
 def test_build_tasks_grid_shape():
@@ -21,15 +16,23 @@ def test_build_tasks_grid_shape():
     assert all(task.m > task.N for task in tasks)
     assert all(task.m - task.N <= task.a <= task.m + task.N + 1 for task in tasks)
     lams = {task.lam for task in tasks}
-    assert F(1, 2) in lams
+    assert F(1, 2) in lams and F(-7, 3) in lams
+    assert len(build_tasks(SweepConfig())) == 1488
+    assert SweepConfig().to_json() == {
+        "a_extra": 4,
+        "extra_lambdas": ["1/2", "-7/3"],
+        "include_negative_m": True,
+        "lambda_pad_high": 2,
+        "lambda_pad_low": 3,
+        "m_offsets": [1, 2, 3, 4],
+        "n_values": [0, 1, 2, 3],
+        "operator_max_n": 2,
+    }
 
 
-def test_build_tasks_skips_bad_offsets(caplog):
-    config = SweepConfig(n_values=(1,), m_offsets=(0, 1), a_extra=0, extra_lambdas=())
-    with caplog.at_level(logging.WARNING):
-        tasks = build_tasks(config)
-    assert all(task.m == 2 for task in tasks)
-    assert any("skipping" in rec.message for rec in caplog.records)
+def test_build_tasks_empty_grid():
+    assert build_tasks(SweepConfig(m_span=0)) == []
+    assert build_tasks(SweepConfig(max_n=-1)) == []
 
 
 def test_evaluate_task_positive_and_mirror():
@@ -74,7 +77,7 @@ def test_run_sweep_small_grid_all_pass():
 
 
 def test_certificate_checks_populated_on_dim1():
-    certificates, _ = run_sweep(SweepConfig(n_values=(1,), m_offsets=(1,), a_extra=1, extra_lambdas=()))
+    certificates, _ = run_sweep(SweepConfig(max_n=1, m_span=1, a_extra=1))
     rich = [c for c in certificates if c.xi_dimension == 1 and c.params.m > 0]
     assert rich
     for cert in rich:
@@ -90,7 +93,7 @@ def test_certificate_checks_populated_on_dim1():
 
 
 def test_certificate_json_shape():
-    certificates, _ = run_sweep(SweepConfig(n_values=(0,), m_offsets=(1,), a_extra=0, extra_lambdas=()))
+    certificates, _ = run_sweep(SweepConfig(max_n=0, m_span=1, a_extra=0))
     doc = certificates[0].to_json()
     assert set(doc) == {
         "params",
@@ -111,15 +114,7 @@ def test_certificate_json_shape():
 
 def test_parallel_matches_serial():
     serial, summary_serial = run_sweep(SMALL)
-    parallel, summary_parallel = run_sweep(
-        SweepConfig(
-            n_values=SMALL.n_values,
-            m_offsets=SMALL.m_offsets,
-            a_extra=SMALL.a_extra,
-            extra_lambdas=SMALL.extra_lambdas,
-            jobs=4,
-        )
-    )
+    parallel, summary_parallel = run_sweep(dataclasses.replace(SMALL, jobs=4))
     assert summary_serial == summary_parallel
     assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
 
