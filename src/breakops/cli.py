@@ -59,7 +59,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_classify(args) -> int:
     params = fsystem.SystemParams.of(args.lam, args.nu, args.big_n, args.m)
-    outcome = closedform.classify(params.lam, params.nu, params.N, params.m)
+    outcome = closedform.classify(params)
     if args.format == "text":
         status = "one-dimensional" if outcome.dimension else "zero"
         _write(
@@ -110,6 +110,11 @@ def cmd_operator(args) -> int:
         emitted = {form: operator.emit_operator(params, form) for form in forms}
     except NoSolutionError as exc:
         return _error(args, params, str(exc), EXIT_EMPTY, dimension=0)
+    scalar = None
+    if args.form == "both":  # the routes are cross-checked whatever the output format
+        scalar = operator.compare_up_to_scalar(emitted["paper"], emitted["canonical"])
+        if scalar is None or not scalar:
+            return _error(args, params, "operator routes disagree", EXIT_CHECK_FAILED)
     if args.format == "latex":
         _write("\n".join(emitted[f].latex() for f in forms) + "\n", args.out)
         return EXIT_OK
@@ -128,10 +133,7 @@ def cmd_operator(args) -> int:
         "leading_term": {"d": lead_key[0], "p": lead_key[1], "q": lead_key[2], "r": lead_key[3]},
         "leading_coeff": lead_coeff.to_json(),
     }
-    if args.form == "both":
-        scalar = operator.compare_up_to_scalar(emitted["paper"], emitted["canonical"])
-        if scalar is None or not scalar:
-            return _error(args, params, "operator routes disagree", EXIT_CHECK_FAILED)
+    if scalar is not None:
         document["proportionality"] = scalar.to_json()
     _write(_dump(document), args.out)
     return EXIT_OK
@@ -142,6 +144,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("--jobs must be at least 1")
     if args.out and args.out != "-":  # checked before the grid is computed
         directory = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out):
+            raise ValueError(f"cannot write --out {args.out}: {os.strerror(errno.EISDIR)}")
         if not os.access(directory, os.W_OK):
             reason = os.strerror(errno.EACCES if os.path.isdir(directory) else errno.ENOENT)
             raise ValueError(f"cannot write --out {args.out}: {reason}")

@@ -50,12 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .fsystem import (
-    NoSolutionError,
-    SolutionVector,
-    SystemParams,
-    UnsupportedRegimeError,
-)
+from .fsystem import NoSolutionError, SolutionVector, SystemParams, UnsupportedRegimeError
 from .gegenbauer import gegenbauer_coeffs
 from .poly import Poly, VectorSymbol
 from .rational import (
@@ -88,16 +83,15 @@ class Classification:
         }
 
 
-def classify(lam: Fraction | int, nu: Fraction | int, N: int, m: int) -> Classification:
-    """Existence and uniqueness test for the operator at (lambda, nu, N, m).
+def classify(params: SystemParams) -> Classification:
+    """Existence and uniqueness test for the operator at a parameter point.
 
+    The record has already rejected |m| <= N and narrowed lambda and nu.
     ``sporadic`` and ``all_sbos_differential`` restate the paper's theorems
     for this regime; they are not checked here.
     """
-    if abs(m) <= N:
-        raise UnsupportedRegimeError(f"regime |m| <= N unsupported (m={m}, N={N})")
-    lam, nu = Fraction(lam), Fraction(nu)
-    lam_ok = is_integer(lam) and lam <= 1 - abs(m)
+    lam, nu, N = params.lam, params.nu, params.N
+    lam_ok = is_integer(lam) and lam <= 1 - params.abs_m
     nu_ok = is_integer(nu) and 1 - N <= nu <= N + 1
     dimension = 1 if (lam_ok and nu_ok) else 0
     return Classification(
@@ -125,8 +119,16 @@ class StructureConstants(NamedTuple):
 
 
 def structure_constants(d: int, r: int, params: SystemParams) -> StructureConstants:
-    """The triple (Gamma(d,r), A(d,r), B(d,r)) for the operator formulas."""
-    _check_dr(d, r, params.N)
+    """The triple (Gamma(d,r), A(d,r), B(d,r)) for the operator formulas.
+
+    The checked entry to the constants; ``const_a`` and ``const_b`` check
+    nothing, since their callers loop over valid (d, r) at classified points.
+    """
+    N = params.N
+    if not 0 <= d <= 2 * N:
+        raise ValueError(f"component index {d} out of range 0..{2 * N}")
+    if not 0 <= r <= min(d, 2 * N - d):
+        raise ValueError(f"inner index {r} out of range 0..min({d},{2 * N - d})")
     if not is_integer(params.nu):
         raise ValueError("the constants require an integer nu (the sign (-1)^(nu-1))")
     return StructureConstants(
@@ -134,19 +136,9 @@ def structure_constants(d: int, r: int, params: SystemParams) -> StructureConsta
     )
 
 
-def _check_dr(d: int, r: int, N: int) -> None:
-    if not 0 <= d <= 2 * N:
-        raise ValueError(f"component index {d} out of range 0..{2 * N}")
-    if not 0 <= r <= min(d, 2 * N - d):
-        raise ValueError(f"inner index {r} out of range 0..min({d},{2 * N - d})")
-
-
 def const_a(d: int, r: int, params: SystemParams) -> Fraction:
     """A(d, r); may hit a genuine gamma pole away from classified parameters."""
-    _check_dr(d, r, params.N)
     N, lam, nu = params.N, params.lam, params.nu
-    if not is_integer(nu):
-        raise ValueError("the constants require an integer nu (the sign (-1)^(nu-1))")
     mm = params.abs_m
     a = nu - lam
     base = lam + (a - mm + N - d - 1) // 2
@@ -157,10 +149,7 @@ def const_a(d: int, r: int, params: SystemParams) -> Fraction:
 
 def const_b(d: int, r: int, params: SystemParams) -> Fraction:
     """B(d, r)."""
-    _check_dr(d, r, params.N)
     N, nu = params.N, params.nu
-    if not is_integer(nu):
-        raise ValueError("the constants require an integer nu (the sign (-1)^(nu-1))")
     return sign_pow(d - N) * _gamma_dr(2 * N - d, r, params) * pochhammer(N - nu + 2 - r, r)
 
 
@@ -212,8 +201,7 @@ def closed_solution(params: SystemParams) -> SolutionVector:
     N, m = params.N, params.m
     if m <= N:
         raise UnsupportedRegimeError("closed form is built in the m > N orientation")
-    outcome = classify(params.lam, params.nu, N, m)
-    if outcome.dimension == 0:
+    if classify(params).dimension == 0:
         raise NoSolutionError("solution space is zero at these parameters")
     lam, nu = params.lam, params.nu  # both ints once classified
     a = params.a

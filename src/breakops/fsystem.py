@@ -28,12 +28,17 @@ rows run over monomial degrees 0..the highest degree with a nonzero entry,
 with no parity-based pruning.
 
 Each equation sends t^d to at most t^d, t^(d-1) and t^(d-2), so it is written
-once as per-degree weights (``equation_weights``), read by evaluation and assembly.
+once as per-degree weights (``equation_weights``), read by ``apply_L``, which
+evaluates an equation on any tuple (g_(m-N), ..., g_(m+N)), and by assembly.
 
 The solver is only ever assembled for m > N; negative m is reached through
 the component-reversing duality, which acts on symbols and, equivalently, on
 the operator read off the generator.  Non-integer rational
 lambda is a legitimate input (the solution space is then zero).
+
+Each invariant is checked once, where its value is made: ``SystemParams``
+checks the parameters and ``SolutionVector`` the parity spaces, and the code
+that receives them does not check again.
 """
 
 from __future__ import annotations
@@ -114,29 +119,25 @@ class SystemParams:
 
 
 class SolutionVector:
-    """The tuple (g_(m-N), ..., g_(m+N)) with the even-parity constraints.
+    """The tuple (g_(m-N), ..., g_(m+N)), each g_k checked to lie in EvenSpace(a-k).
 
-    Solutions always satisfy g_k in EvenSpace(a-k); pass validate=False to
-    hold a raw polynomial tuple (e.g. to apply the equation operators to an
-    inadmissible probe vector).
+    Every solution vector is validated when it is built, so its readers
+    (``read_off``, ``symbol_psi``, the sweep) need not check the parity spaces.
     """
 
     __slots__ = ("params", "entries")
 
-    def __init__(self, params: SystemParams, entries, validate: bool = True):
+    def __init__(self, params: SystemParams, entries):
         entries = tuple(entries)
         if len(entries) != 2 * params.N + 1:
             raise ValueError(f"expected {2 * params.N + 1} components, got {len(entries)}")
         a = params.a
         if a is None:
             raise ValueError("solution vectors require nu - lambda to be a natural number")
-        if validate:
-            for offset, g in enumerate(entries):
-                k = params.m - params.N + offset
-                if not EvenSpace(a - k).contains(g):
-                    raise ValueError(
-                        f"component g_{k} violates its even-parity space of bound {a - k}"
-                    )
+        for offset, g in enumerate(entries):
+            k = params.m - params.N + offset
+            if not EvenSpace(a - k).contains(g):
+                raise ValueError(f"component g_{k} violates its even-parity space of bound {a - k}")
         self.params = params
         self.entries = entries
 
@@ -146,10 +147,6 @@ class SolutionVector:
         if 0 <= offset < len(self.entries):
             return self.entries[offset]
         return ZERO_POLY
-
-    def f(self, j: int) -> Poly:
-        """Reflected view f_j = g_(m-j) used by the differential equations."""
-        return self.g(self.params.m - j)
 
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.entries)
@@ -196,7 +193,7 @@ def _derivative(scale) -> tuple:
 
 
 def equation_weights(kind: str, sign: str, j: int, params: SystemParams) -> list[tuple[int, tuple]]:
-    """One equation as (index jj, weights) terms, weights acting on f_jj.
+    """One equation as (index jj, weights) terms, weights acting on f_jj = g_(m-jj).
 
     The - equations are the + ones with s = -1 folded into the component
     indices, the degree of S, the sign of m and the derivative couplings.
@@ -225,12 +222,20 @@ def equation_weights(kind: str, sign: str, j: int, params: SystemParams) -> list
     raise ValueError(f"unknown equation kind {kind!r}")
 
 
-def apply_L(kind: str, sign: str, j: int, params: SystemParams, sol: SolutionVector) -> Poly:
-    """Evaluate one of the 4N+2 equation operators on a solution vector."""
+def apply_L(kind: str, sign: str, j: int, params: SystemParams, components) -> Poly:
+    """Evaluate one of the 4N+2 equation operators on a tuple (g_(m-N), ..., g_(m+N)).
+
+    The tuple need not lie in the parity spaces; f_jj = g_(m-jj) is its
+    entry N - jj, and zero for |jj| > N.
+    """
     if params.m <= params.N:
         raise UnsupportedRegimeError("equations are assembled in the m > N orientation only")
+    N = params.N
+    if len(components) != 2 * N + 1:
+        raise ValueError(f"expected {2 * N + 1} components, got {len(components)}")
     terms = equation_weights(kind, sign, j, params)
-    return sum((apply_weights(weights, sol.f(jj)) for jj, weights in terms), ZERO_POLY)
+    images = (apply_weights(weights, components[N - jj]) for jj, weights in terms if abs(jj) <= N)
+    return sum(images, ZERO_POLY)
 
 
 def equation_index(N: int) -> list[tuple[str, str, int]]:

@@ -82,11 +82,8 @@ class DiffOperator(TermMap):
 
 
 def _juhl_blocks(lam: Fraction | int, nu: Fraction | int) -> dict[tuple[int, int, int], Fraction]:
-    """Monomial content (p, q, r) -> coeff of the scalar Juhl block."""
-    order = nu - lam
-    if not (is_integer(order) and order >= 0):
-        raise ValueError(f"Juhl block needs nu - lambda in N, got {order}")
-    ell = int(order)
+    """Monomial content (p, q, r) -> coeff of the scalar Juhl block; nu - lambda in N."""
+    ell = int(nu - lam)
     source = gegenbauer_coeffs(ell, lam - 1)
     blocks: dict[tuple[int, int, int], Fraction] = {}
     for k in range(ell // 2 + 1):
@@ -102,6 +99,9 @@ def juhl_operator(lam: Fraction | int, nu: Fraction | int) -> DiffOperator:
     inflated to two variables and evaluated at (-4 dz dzbar, dx3).
     """
     lam, nu = Fraction(lam), Fraction(nu)
+    order = nu - lam
+    if not (is_integer(order) and order >= 0):
+        raise ValueError(f"Juhl block needs nu - lambda in N, got {order}")
     blocks = _juhl_blocks(lam, nu)
     return DiffOperator({(0, p, q, r): c for (p, q, r), c in blocks.items()})
 
@@ -182,9 +182,7 @@ def read_off(params: SystemParams, generator: SolutionVector) -> DiffOperator:
         k = k_min + d
         for s, c in enumerate(g.coeffs):
             if c:
-                u, odd = divmod(a - k - s, 2)
-                if odd or u < 0:
-                    raise ValueError(f"component g_{k} violates its even-parity space of bound {a - k}")
+                u = (a - k - s) // 2  # a whole u >= 0: the generator lies in its parity spaces
                 terms[d, u, u + k, s] = c * (1 << (2 * u + k))
     return DiffOperator(terms)
 
@@ -201,8 +199,7 @@ def mirror_operator(op: DiffOperator, N: int) -> DiffOperator:
 
 def emit_operator(params: SystemParams, form: str) -> DiffOperator:
     """Emit the operator, either from the literal formulas or read off the generator."""
-    outcome = classify(params.lam, params.nu, params.N, params.m)
-    if outcome.dimension == 0:
+    if classify(params).dimension == 0:
         raise NoSolutionError("no operator exists at these parameters")
     if form == "paper":
         return _emit_literal(params)

@@ -131,7 +131,7 @@ def build_tasks(config: SweepConfig) -> list[SweepTask]:
 
 def _certificate(params: fsystem.SystemParams, xi_dimension: int, mismatch_text: str) -> Certificate:
     """The certificate of one point, failing with mismatch_text when the predicate disagrees."""
-    outcome = closedform.classify(params.lam, params.nu, params.N, params.m)
+    outcome = closedform.classify(params)
     cert = Certificate(
         params=params,
         classification=outcome,
@@ -179,7 +179,7 @@ def evaluate_task(task: SweepTask) -> list[Certificate]:
             if scalar is None or not scalar:
                 cert.failures.append("closed form is not a nonzero multiple of the nullspace generator")
             cert.annihilated = all(
-                fsystem.apply_L(*eq, params, closed).is_zero() for eq in fsystem.equation_index(params.N)
+                fsystem.apply_L(*eq, params, closed.entries).is_zero() for eq in fsystem.equation_index(params.N)
             )
             if not cert.annihilated:
                 cert.failures.append("closed form is not annihilated by all equations")

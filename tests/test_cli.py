@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, wire formats, schema validity, determinism."""
 
 import gc
+import hashlib
 import importlib
 import json
 from importlib import resources as importlib_resources
@@ -332,8 +333,48 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
         pytest.fail("sweep computed its grid before checking --out")
 
     monkeypatch.setattr(sweep, "run_sweep", fail)
-    out_file = tmp_path / "missing" / "out.json"
-    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
-    assert code == 2
-    assert out == "" and "Traceback" not in err
-    assert json.loads(err)["error"] == f"cannot write --out {out_file}: No such file or directory"
+    for out_file, reason in ((tmp_path / "missing" / "out.json", "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert json.loads(err)["error"] == f"cannot write --out {out_file}: {reason}"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+def test_operator_routes_disagreeing_exit_4_in_every_format(capsys, monkeypatch, fmt):
+    from breakops import operator
+
+    monkeypatch.setattr(operator, "compare_up_to_scalar", lambda first, second: None)
+    code, out, _ = run_cli(capsys, "operator", *POINT, "--form", "both", "--format", fmt)
+    assert code == 4
+    assert json.loads(out)["error"] == "operator routes disagree"
+
+
+# sha256 of the stdout bytes at the README point and its mirror: refactors
+# below the CLI must leave every format of these commands byte for byte as is
+README_OUTPUTS = {
+    ("classify", "json", "2"): "3ed26ba5061be2e40d19240a8ec6618e1f37cc5b009ebfc39b93d148425d14a7",
+    ("classify", "text", "2"): "2739cfa047ec3fd31cd5b3e927bc719b70f96d12022ab0845393c1b966d87284",
+    ("solve", "json", "2"): "3289d996b6196b4c393c95e7c1ab7722f8ef15e1d8bf748f8afbf77ee49c3052",
+    ("solve", "text", "2"): "f2bfecca376a126bc6ab0a7bd34b974408258f11778b571ad215161c961f737f",
+    ("operator", "json", "2"): "1f19f0991fd69d70b30e3866bd8695a6beb9b6960b61b2b61f67f84b8cf62006",
+    ("operator", "text", "2"): "7b8ff5f510115a242d8e4c6a838acafed5bd2c265b6985a4ef09a2f3850e9a73",
+    ("operator", "latex", "2"): "d0120b527d1e956090817f39e1dbec236091895eb6607ee1ac7666dae2b2511d",
+    ("classify", "json", "-2"): "3ed26ba5061be2e40d19240a8ec6618e1f37cc5b009ebfc39b93d148425d14a7",
+    ("classify", "text", "-2"): "2739cfa047ec3fd31cd5b3e927bc719b70f96d12022ab0845393c1b966d87284",
+    ("solve", "json", "-2"): "67d465220877de4298cb2256def20ddca071b81897ee0bfab3f303b36caee8f9",
+    ("solve", "text", "-2"): "f2bfecca376a126bc6ab0a7bd34b974408258f11778b571ad215161c961f737f",
+    ("operator", "json", "-2"): "5d2779ff390c2af64dc39996b454e9826b37bb82bbfa31216dac53db62ff0cb7",
+    ("operator", "text", "-2"): "e1e3e874fb31baf7e871284d9fcee2e5aaabacc605281fe7cd6f48573cd48f2f",
+    ("operator", "latex", "-2"): "8904ffc44ae1ea2ae8489dce8242de33f95b944de1b9ffedd569e3ed7b598cb8",
+}
+
+
+@pytest.mark.parametrize("command, fmt, m", list(README_OUTPUTS), ids="-".join)
+def test_readme_point_output_bytes(capsys, command, fmt, m):
+    flags = ("--form", "both") if command == "operator" else ()
+    point = ("--lambda=-1", "--nu", "2", "-N", "1", "-m", m)
+    code, out, _ = run_cli(capsys, command, *point, *flags, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_OUTPUTS[command, fmt, m]

@@ -53,21 +53,21 @@ def test_lambda_set_matches_interval_forms():
 
 
 def test_classify_examples():
-    assert classify(F(-1), F(2), 1, 2).dimension == 1
-    assert classify(F(-1), F(3), 1, 2).dimension == 0
-    assert classify(F(0), F(1), 0, 1).dimension == 1
-    with pytest.raises(UnsupportedRegimeError):
-        classify(F(0), F(0), 2, 1)
+    assert classify(SystemParams(F(-1), F(2), 1, 2)).dimension == 1
+    assert classify(SystemParams(F(-1), F(3), 1, 2)).dimension == 0
+    assert classify(SystemParams(F(0), F(1), 0, 1)).dimension == 1
+    with pytest.raises(UnsupportedRegimeError):  # the record rejects |m| <= N before classify
+        classify(SystemParams(F(0), F(0), 2, 1))
 
 
 def test_classification_flags():
-    one = classify(F(-1), F(2), 1, 2)
+    one = classify(SystemParams(F(-1), F(2), 1, 2))
     assert one.lambda_admissible and one.nu_admissible
     assert one.sporadic and one.all_sbos_differential
-    zero = classify(F(1, 2), F(7, 2), 1, 2)
+    zero = classify(SystemParams(F(1, 2), F(7, 2), 1, 2))
     assert zero.dimension == 0 and not zero.sporadic
     assert zero.all_sbos_differential
-    assert classify(F(-5), F(2), 1, -2).dimension == 1  # negative m, same predicate
+    assert classify(SystemParams(F(-5), F(2), 1, -2)).dimension == 1  # negative m, same predicate
 
 
 def test_classify_agrees_with_lambda_set():
@@ -76,7 +76,7 @@ def test_classify_agrees_with_lambda_set():
             for a in range(m_val - n_val, m_val + n_val + 4):
                 members = lambda_set(n_val, a, m_val)
                 for lam in range(1 - n_val - a - 2, n_val + 3 - a):
-                    predicted = classify(F(lam), F(lam + a), n_val, m_val).dimension
+                    predicted = classify(SystemParams(F(lam), F(lam + a), n_val, m_val)).dimension
                     assert predicted == (1 if lam in members else 0), (n_val, m_val, a, lam)
 
 
@@ -246,7 +246,7 @@ def test_closed_solution_spaces_and_equations_sampled():
                 sol = closed_solution(p)  # constructor checks the parity spaces
                 assert not sol.is_zero()
                 for kind, sign, j in equation_index(n_val):
-                    assert apply_L(kind, sign, j, p, sol).is_zero(), (n_val, m_val, a, lam)
+                    assert apply_L(kind, sign, j, p, sol.entries).is_zero(), (n_val, m_val, a, lam)
                 scalar = proportionality(solve_xi(p).generator, sol)
                 assert scalar is not None and bool(scalar)
 

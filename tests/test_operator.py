@@ -243,10 +243,10 @@ def test_read_off_rejects_the_mirrored_orientation_and_odd_parity():
     generator = solve_xi(p).generator
     with pytest.raises(UnsupportedRegimeError):
         read_off(p.mirrored(), generator)
-    probe = SolutionVector(p, (Poly(), Poly([0, 1]), Poly()), validate=False)  # t spans EvenSpace(a - 2)
+    probe = SolutionVector(p, (Poly(), Poly([0, 1]), Poly()))  # t spans EvenSpace(a - 2)
     assert read_off(p, probe) == DiffOperator({(1, 0, 2, 1): 4})
     with pytest.raises(ValueError):  # the constant 1 does not lie in EvenSpace(1)
-        read_off(p, SolutionVector(p, (Poly(), Poly([1]), Poly()), validate=False))
+        SolutionVector(p, (Poly(), Poly([1]), Poly()))
 
 
 def test_mirror_operator_is_an_involution():

@@ -124,14 +124,14 @@ def points(draw):
 @given(points())
 def test_predicate_dimension_equals_nullspace_dimension(point):
     lam, a, N, m = point
-    assert classify(lam, lam + a, N, m).dimension == solve_xi(SystemParams(lam, lam + a, N, m)).dimension
+    assert classify(SystemParams(lam, lam + a, N, m)).dimension == solve_xi(SystemParams(lam, lam + a, N, m)).dimension
 
 
 @settings(max_examples=100, deadline=None)
 @given(points())
 def test_predicate_at_negative_m_equals_the_positive_nullspace_dimension(point):
     lam, a, N, m = point
-    assert classify(lam, lam + a, N, -m).dimension == solve_xi(SystemParams(lam, lam + a, N, m)).dimension
+    assert classify(SystemParams(lam, lam + a, N, -m)).dimension == solve_xi(SystemParams(lam, lam + a, N, m)).dimension
 
 
 @st.composite
